@@ -226,9 +226,9 @@ let () =
     let dir = Option.value !Common.csv_dir ~default:"results" in
     ignore (Admission.write ~path:(Filename.concat dir "BENCH_admission.json") r)
   end;
-  (* SAT-backend sweep (backtracking vs from-scratch DPLL vs incremental
-     CDCL), opt-in: outcome traces are cross-checked across the three
-     backends before recording. *)
+  (* SAT-backend sweep (backtracking vs CDCL on a session reset per
+     admission vs incremental CDCL), opt-in: outcome traces are
+     cross-checked across the backends before recording. *)
   if List.mem "sat" only then begin
     let r = Harness.Sat_bench.run () in
     Harness.Sat_bench.print r;

@@ -711,11 +711,11 @@ let load_cmd =
        queue must actually group), accept/reject p50/p99/p999 splits
        present, and the accept-p99 admission latency must not exceed
        the baseline's by more than PCT percent;
-     qdb.bench.sat/v1 — cdcl ns/admission at k=40 and k=160 must not
+     qdb.bench.sat/v2 — cdcl ns/admission at k=40 and k=160 must not
        exceed the baseline's by more than PCT percent, the incremental
-       CDCL session must stay >= 3x over from-scratch DPLL at k=40, and
-       at k=160 it must solve natively (zero fallbacks, real conflicts)
-       while eager DPLL shows encode-budget fallbacks.
+       CDCL session must stay >= 3x over the from-scratch session
+       (cdcl_fresh) at k=40, and at k=160 it must solve natively (zero
+       fallbacks, real conflicts).
 
    Exits 1 with a FAIL line on any violation, 0 with OK lines otherwise. *)
 
@@ -839,7 +839,7 @@ let scaling_v4_check label j =
   if not (some "overloaded") then
     bench_fail "%s: no contended point with real Overloaded outcomes" label
 
-(* Sat v1: one sparse-series point by backend mode and pending depth. *)
+(* Sat v2: one sparse-series point by backend mode and pending depth. *)
 let sat_point label ~mode ~k j =
   match
     List.find_opt
@@ -855,11 +855,11 @@ let sat_point label ~mode ~k j =
   | Some p -> p
   | None -> bench_fail "%s: no sparse %s point at k=%d" label mode k
 
-let sat_speedup_vs_dpll label ~k j =
+let sat_speedup_vs_fresh label ~k j =
   let points =
-    match Json.member "speedup_cdcl_vs_dpll" j with
+    match Json.member "speedup_cdcl_vs_fresh" j with
     | Some (Json.List l) -> l
-    | _ -> bench_fail "%s: missing \"speedup_cdcl_vs_dpll\" array" label
+    | _ -> bench_fail "%s: missing \"speedup_cdcl_vs_fresh\" array" label
   in
   match
     List.find_opt
@@ -1030,15 +1030,12 @@ let run_bench_diff baseline_path current_path gate =
      check_ratio "accept p99 admission latency (us)"
        (jnum "baseline" "p99" (split "baseline" baseline "accept"))
        (jnum "current" "p99" (split "current" current "accept"))
-   | "qdb.bench.sat/v1" ->
+   | "qdb.bench.sat/v2" ->
      (* The CDCL claims, pinned: no slowdown on the incremental-session
         cost at the shallow and deep ends; the incremental session must
-        beat from-scratch DPLL >= 3x at k=40 (where DPLL still solves
-        natively); and at k=160 CDCL must solve every admission natively
-        (zero search-solver fallbacks, with real conflict work) while
-        eager DPLL cannot hold the flattened body within the default
-        encode budget (fallbacks > 0) — losing either half of that
-        contrast means the backend or the ablation silently changed. *)
+        beat the same solver reset per admission (cdcl_fresh) >= 3x at
+        k=40; and at k=160 it must solve every admission natively (zero
+        search-solver fallbacks, with real conflict work). *)
      List.iter
        (fun k ->
          check_ratio
@@ -1046,25 +1043,18 @@ let run_bench_diff baseline_path current_path gate =
            (jnum "baseline" "ns_per_admission" (sat_point "baseline" ~mode:"cdcl" ~k baseline))
            (jnum "current" "ns_per_admission" (sat_point "current" ~mode:"cdcl" ~k current)))
        [ 40; 160 ];
-     let speedup = sat_speedup_vs_dpll "current" ~k:40 current in
+     let speedup = sat_speedup_vs_fresh "current" ~k:40 current in
      if speedup < 3.0 then
-       bench_fail "k=40 cdcl speedup over dpll %.2fx below the 3x floor" speedup;
-     Printf.printf "OK: k=40 cdcl speedup over dpll %.2fx (floor 3x)\n" speedup;
+       bench_fail "k=40 cdcl speedup over cdcl_fresh %.2fx below the 3x floor" speedup;
+     Printf.printf "OK: k=40 cdcl speedup over cdcl_fresh %.2fx (floor 3x)\n" speedup;
      let cdcl160 = sat_point "current" ~mode:"cdcl" ~k:160 current in
-     let dpll160 = sat_point "current" ~mode:"dpll" ~k:160 current in
      if jnum "current" "fallbacks" cdcl160 > 0. then
        bench_fail "k=160 cdcl fell back to the search solver %d times (must be native)"
          (int_of_float (jnum "current" "fallbacks" cdcl160));
      if jnum "current" "conflicts" cdcl160 <= 0. then
        bench_fail "k=160 cdcl recorded no conflicts — the session did no real solving";
-     if jnum "current" "fallbacks" dpll160 <= 0. then
-       bench_fail
-         "k=160 dpll never fell back — the eager encode budget no longer separates the \
-          backends";
-     Printf.printf
-       "OK: k=160 cdcl native (0 fallbacks, %d conflicts); dpll fell back %d/160 times\n"
+     Printf.printf "OK: k=160 cdcl native (0 fallbacks, %d conflicts)\n"
        (int_of_float (jnum "current" "conflicts" cdcl160))
-       (int_of_float (jnum "current" "fallbacks" dpll160))
    | other -> bench_fail "unsupported schema %S" other);
   Printf.printf "bench diff: %s within %.0f%% of %s\n%!" current_path gate baseline_path
 

@@ -1,9 +1,8 @@
 (* Resource governor for the admission pipeline.
 
-   Every admission check runs under one budget: a solver node budget, an
-   optional monotonic-clock deadline, and an optional SAT-encoder budget,
-   threaded from [Qdb.submit] down through the solution cache into the
-   search.  When a budget runs out the engine does not guess — it climbs
+   Every admission check runs under one budget: a solver node budget and
+   an optional monotonic-clock deadline, threaded from [Qdb.submit] down
+   through the solution cache into the search.  When a budget runs out the engine does not guess — it climbs
    a degradation ladder:
 
      1. retry the witness-seeded incremental solve with an exponentially
@@ -28,7 +27,6 @@ type t = {
       (* base solver node budget per admission attempt; [None] inherits
          the engine's [config.node_limit] *)
   deadline_ns : int64 option; (* per-admission wall budget, relative ns *)
-  sat_budget : Sat.Encode.budget option; (* SAT-backend encode budget *)
   max_retries : int; (* escalated incremental retries before degrading *)
   escalation : int; (* node-budget multiplier per ladder rung *)
   backoff_ns : int64; (* base backoff before each retry; 0 = none *)
@@ -38,18 +36,16 @@ let default =
   {
     node_budget = None;
     deadline_ns = None;
-    sat_budget = None;
     max_retries = 2;
     escalation = 8;
     backoff_ns = 0L;
   }
 
-let make ?node_budget ?deadline_ns ?sat_budget ?(max_retries = 2) ?(escalation = 8)
+let make ?node_budget ?deadline_ns ?(max_retries = 2) ?(escalation = 8)
     ?(backoff_ns = 0L) () =
   {
     node_budget;
     deadline_ns;
-    sat_budget;
     max_retries = max 0 max_retries;
     escalation = max 1 escalation;
     backoff_ns = (if Int64.compare backoff_ns 0L > 0 then backoff_ns else 0L);
@@ -69,7 +65,6 @@ let arm gov =
   }
 
 let deadline charge = charge.deadline
-let sat_budget charge = charge.gov.sat_budget
 let max_retries charge = charge.gov.max_retries
 
 let expired charge =

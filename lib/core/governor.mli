@@ -1,8 +1,8 @@
 (** Resource governor for the admission pipeline: one per-admission
-    budget (solver node budget, optional monotonic-clock deadline,
-    optional SAT-encode budget) plus the parameters of the degradation
-    ladder — escalated retries, full-recompose fallback, and finally the
-    structured [Overloaded] outcome.
+    budget (solver node budget, optional monotonic-clock deadline) plus
+    the parameters of the degradation ladder — escalated retries,
+    full-recompose fallback, and finally the structured [Overloaded]
+    outcome.
 
     The governor is pure configuration and arithmetic; [Qdb] owns the
     ladder control flow.  {!default} reproduces the engine's historical
@@ -13,7 +13,6 @@ type t = {
       (** base solver node budget per admission attempt;
           [None] inherits the engine's [config.node_limit] *)
   deadline_ns : int64 option;  (** per-admission wall budget, relative ns *)
-  sat_budget : Sat.Encode.budget option;  (** SAT-backend encode budget *)
   max_retries : int;  (** escalated incremental retries before degrading *)
   escalation : int;  (** node-budget multiplier per ladder rung *)
   backoff_ns : int64;  (** base backoff before each retry; 0 = none *)
@@ -24,14 +23,12 @@ val default : t
 val make :
   ?node_budget:int ->
   ?deadline_ns:int64 ->
-  ?sat_budget:Sat.Encode.budget ->
   ?max_retries:int ->
   ?escalation:int ->
   ?backoff_ns:int64 ->
   unit ->
   t
-(** Defaults: inherit the engine node limit, no deadline, no SAT budget
-    override, 2 retries, 8x escalation, no backoff.  [max_retries] is
+(** Defaults: inherit the engine node limit, no deadline, 2 retries, 8x escalation, no backoff.  [max_retries] is
     clamped to ≥ 0, [escalation] to ≥ 1. *)
 
 type charge
@@ -43,7 +40,6 @@ val arm : t -> charge
 val deadline : charge -> int64 option
 (** Absolute monotonic-clock deadline, for threading into the solver. *)
 
-val sat_budget : charge -> Sat.Encode.budget option
 val max_retries : charge -> int
 
 val expired : charge -> bool

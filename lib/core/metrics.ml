@@ -23,15 +23,15 @@ type t = {
   mutable governor_exhaustions : int; (* every budget blowup the ladder absorbed *)
   mutable refill_failures : int; (* cache-refill rounds abandoned on a job failure *)
   (* CDCL SAT-backend session counters, synced from the engine's
-     incremental session after every SAT admission check (cumulative
-     across session rebuilds). *)
+     session after every SAT admission check (cumulative across session
+     rebuilds and the from-scratch ablation's per-check resets). *)
   mutable sat_conflicts : int;
   mutable sat_learned : int;
   mutable sat_restarts : int;
   mutable sat_propagations : int;
   mutable sat_fallbacks : int;
       (* SAT-backend checks that fell back to the search solver (body not
-         SAT-encodable or over the encode budget) *)
+         SAT-encodable or over the session's encoding budget) *)
   submit_latency : Obs.Histogram.t; (* seconds, one observation per submit *)
   accept_latency : Obs.Histogram.t; (* submit latency split by outcome... *)
   reject_latency : Obs.Histogram.t;

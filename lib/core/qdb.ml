@@ -230,11 +230,11 @@ type check_verdict =
 let sat_conflict_limit node_limit =
   if node_limit >= max_int / 64 then max_int else max 16 (node_limit / 64)
 
-let sat_session t ~charge =
+let sat_session t =
   match t.sat_session with
   | Some s -> s
   | None ->
-    let s = Sat.Inc.create ?budget:(Governor.sat_budget charge) () in
+    let s = Sat.Inc.create () in
     t.sat_session <- Some s;
     s
 
@@ -261,8 +261,8 @@ let sync_sat_metrics t =
    session: per-transaction chunks are encoded once and solved under
    activation literals, so learned clauses survive across admissions and
    the hot path touches neither the flattened body nor a fresh encoding
-   (the non-incremental configuration runs the from-scratch
-   encode-and-DPLL ablation instead).
+   (the non-incremental configuration resets the session per check: the
+   from-scratch ablation).
 
    On exhaustion the ladder climbs: bounded escalated retries of the
    incremental solve (deterministic jittered backoff between rungs),
@@ -306,7 +306,8 @@ let check_admission t (p : Partition.partition) ~gov ~salt ~txn ~new_clauses ~fu
         else begin
           (* Last rung before refusing: one unseeded full-recompose solve
              with a further-escalated budget.  For the non-incremental
-             ablation this is just one more escalation of the same solve. *)
+             search ablation this is just one more escalation of the same
+             solve. *)
           t.metrics.Metrics.governor_degraded_full_solve <-
             t.metrics.Metrics.governor_degraded_full_solve + 1;
           let node_limit =
@@ -351,12 +352,15 @@ let check_admission t (p : Partition.partition) ~gov ~salt ~txn ~new_clauses ~fu
        Solver.Cache.set_witness p.Partition.cache w;
        Check_sat w
      | None -> Check_unsat)
-  | Sat_backend when t.config.incremental ->
+  | Sat_backend ->
     (* Incremental CDCL: the engine-wide session already holds the prior
        transactions' chunks; only the new chunk is encoded, and the solve
        runs under the live chunks' activation literals with every learned
-       clause from earlier admissions still in force. *)
-    let session = sat_session t ~charge in
+       clause from earlier admissions still in force.  The from-scratch
+       ablation resets the session first, so every check re-encodes the
+       whole body into an empty solver. *)
+    let session = sat_session t in
+    if not t.config.incremental then Sat.Inc.reset session;
     let chunks = Compose.Inc.chunks p.Partition.body @ [ new_clauses ] in
     let live_vars =
       List.fold_left
@@ -378,33 +382,6 @@ let check_admission t (p : Partition.partition) ~gov ~salt ~txn ~new_clauses ~fu
        (* Not SAT-encodable (negative atoms, order constraints, oversized
           equality theory, encode budget): fall back to search so
           admission stays complete. *)
-       t.metrics.Metrics.sat_fallbacks <- t.metrics.Metrics.sat_fallbacks + 1;
-       ladder ~incremental:true)
-  | Sat_backend ->
-    (* From-scratch ablation: eager encode of the flattened body plus one
-       bounded DPLL run per admission — the pre-CDCL cost profile the SAT
-       bench's "dpll" series measures. *)
-    let attempt retry =
-      let node_limit = Governor.node_budget charge ~default_limit:t.config.node_limit ~retry in
-      match
-        Obs.Flight.time Obs.Flight.Solve (fun () ->
-            Sat.Encode.solve ?budget:(Governor.sat_budget charge) ~node_limit ?deadline_ns
-              database (Lazy.force full_formula))
-      with
-      | Some (Some w) ->
-        Solver.Cache.set_witness p.Partition.cache w;
-        Some (Solver.Cache.Sat w)
-      | Some None -> Some Solver.Cache.Unsat
-      | None -> None (* over the encoding budget *)
-      | exception Sat.Encode.Unsupported _ -> None
-      | exception Sat.Dpll.Too_many_nodes ->
-        Some (Solver.Cache.Exhausted "solver node budget exhausted")
-      | exception Sat.Dpll.Timed_out ->
-        Some (Solver.Cache.Exhausted "admission deadline exceeded")
-    in
-    (match climb attempt with
-     | Some v -> v
-     | None ->
        t.metrics.Metrics.sat_fallbacks <- t.metrics.Metrics.sat_fallbacks + 1;
        ladder ~incremental:true)
 
@@ -1178,7 +1155,10 @@ let write t ops =
        tentative database before any is installed, so a job that raises
        midway (an injected fault, a solver blowup) leaves every cache as
        it was; the raise still reaches the rollback below, so the write
-       is never left half-applied. *)
+       is never left half-applied.  Outcomes are installed only when the
+       write is accepted: a refused write rolls the database back, and a
+       cache solved against the tentative state could hold a witness
+       that no longer fits it. *)
     let verdict =
       try
         Obs.Flight.time Obs.Flight.Coordination @@ fun () ->
@@ -1196,10 +1176,14 @@ let write t ops =
                 ~formula:(Partition.formula p))
             affected
         in
-        `Checked
-          (List.fold_left2
-             (fun ok p outcome -> Solver.Cache.recheck_install p.Partition.cache outcome && ok)
-             true affected outcomes)
+        let still_ok =
+          not (List.exists (function Solver.Cache.Unsat_now -> true | _ -> false) outcomes)
+        in
+        if still_ok then
+          List.iter2
+            (fun p outcome -> ignore (Solver.Cache.recheck_install p.Partition.cache outcome))
+            affected outcomes;
+        `Checked still_ok
       with e -> `Aborted (Printexc.to_string e)
     in
     (* Roll back the tentative application; on acceptance re-apply through

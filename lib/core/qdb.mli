@@ -24,9 +24,10 @@ type solver_backend =
           once into a persistent engine-wide session and solved under
           activation-literal assumptions, so learned clauses survive
           across admissions.  With [incremental = false] it is the
-          from-scratch ablation — eager {!Sat.Encode} of the flattened
-          body plus one DPLL run per admission.  Bodies the encoder
-          cannot express (negative atoms, order constraints, oversized
+          from-scratch ablation: the same session is reset before every
+          admission check, so each check is CDCL on an empty solver (and
+          the [sat.session.resets] gauge counts one reset per
+          admission).  Bodies the encoder cannot express (negative atoms, order constraints, oversized
           equality classes) fall back to the search solver, so admission
           outcomes are identical to {!Backtracking} in every case. *)
 
@@ -110,9 +111,10 @@ val composed_clause_total : t -> int
     [qdb.partition.composed_clauses] gauge). *)
 
 val sat_session_resets : t -> int
-(** How many times the SAT backend's incremental session rebuilt itself
-    under clause-budget pressure (0 when the backend never ran; also the
-    [sat.session.resets] gauge). *)
+(** How many times the SAT backend's session was reset: clause-budget
+    rebuilds, plus one per admission check when [config.incremental] is
+    false (0 when the backend never ran; also the [sat.session.resets]
+    gauge). *)
 
 val submit : ?governor:Governor.t -> t -> Rtxn.t -> commit_result
 (** Admission check (Section 3.2.1): freshen, merge dependent partitions,

@@ -33,7 +33,7 @@ let run_backend_ablation scale =
       ("limit-1 depth=1", Qdb.Limit_one_plan 1);
       ("limit-1 depth=3", Qdb.Limit_one_plan 3);
       ("limit-1 exhaustive", Qdb.Limit_one_plan max_int);
-      ("sat (dpll)", Qdb.Sat_backend);
+      ("sat (cdcl)", Qdb.Sat_backend);
     ]
   in
   let header = [ "backend"; "total time"; "coordination" ] in

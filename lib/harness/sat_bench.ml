@@ -3,12 +3,17 @@
 
    - backtracking: the production path (delta composition + witness
      extension through the solution cache);
-   - dpll: [Sat_backend] with [incremental = false] — eager re-encode of
-     the flattened body plus one from-scratch DPLL run per admission (the
-     pre-CDCL cost profile);
+   - cdcl_fresh: [Sat_backend] with [incremental = false] — the same
+     CDCL session, reset before every admission, so each check re-encodes
+     the whole body into an empty solver (the from-scratch ablation);
    - cdcl: [Sat_backend] with [incremental = true] — the persistent
      incremental session; per-transaction chunks encode once, solves run
      under activation-literal assumptions and learned clauses survive.
+
+   The from-scratch series runs only at k in [fresh_ks] and the dense
+   point: its cost per admission grows steeply with k (22 ms at k=40,
+   115 ms at k=80 on a 2-vCPU host), so a k=160 point would dominate the
+   sweep.
 
    One flight with ~k seats, k plain bookings into one partition: the
    k-th admission composes against k-1 standing transactions with
@@ -21,12 +26,12 @@
    the same composed body.
 
    The sweep refuses to record anything unless the accept/reject outcome
-   traces are bit-identical across the three backends at every point.
-   Wall time per point is the best of [repeats] runs (fresh store and
-   engine each time).  [fallbacks] counts admissions the SAT backend
-   could not solve natively (encode budget / unsupported body) and handed
-   to the search solver — the honest "could DPLL even do this?" signal
-   the k=160 point exists to record. *)
+   traces are bit-identical across the backends at every point.  Wall
+   time per point is the best of [repeats] runs (fresh store and engine
+   each time).  [fallbacks] counts admissions the SAT backend could not
+   solve natively (encode budget / unsupported body) and handed to the
+   search solver; the k=160 point pins it at zero for the incremental
+   session. *)
 
 module Qdb = Quantum.Qdb
 module Metrics = Quantum.Metrics
@@ -35,15 +40,15 @@ module Flights = Workload.Flights
 
 type mode =
   | Backtracking
-  | Dpll
+  | Cdcl_fresh
   | Cdcl
 
 let mode_name = function
   | Backtracking -> "backtracking"
-  | Dpll -> "dpll"
+  | Cdcl_fresh -> "cdcl_fresh"
   | Cdcl -> "cdcl"
 
-let all_modes = [ Backtracking; Dpll; Cdcl ]
+let all_modes = [ Backtracking; Cdcl_fresh; Cdcl ]
 
 type point = {
   mode : string;
@@ -58,21 +63,24 @@ type point = {
   restarts : int;
   propagations : int;
   fallbacks : int;  (** SAT checks handed to the search solver *)
-  resets : int;  (** session rebuilds under clause-budget pressure *)
+  resets : int;  (** session resets: clause-budget rebuilds, or one per
+                     admission for [cdcl_fresh] *)
 }
 
 type recording = {
   ks : int list;
+  fresh_ks : int list;  (** the subset of [ks] where cdcl_fresh also runs *)
   dense_k : int;
   repeats : int;
   cores : int;
   series : point list;
-  speedup_vs_dpll : (int * float) list;  (** per k: dpll ns / cdcl ns *)
+  speedup_vs_fresh : (int * float) list;  (** per fresh k: cdcl_fresh ns / cdcl ns *)
   speedup_vs_backtracking : (int * float) list;
-  deterministic : bool;  (** outcomes identical across all three backends *)
+  deterministic : bool;  (** outcomes identical across the backends *)
 }
 
 let default_ks = [ 40; 80; 160 ]
+let fresh_ks = [ 40; 80 ]
 let default_dense_k = 24
 
 let users_for k =
@@ -87,7 +95,7 @@ let config mode k =
   in
   match mode with
   | Backtracking -> base
-  | Dpll -> { base with Qdb.backend = Qdb.Sat_backend; incremental = false }
+  | Cdcl_fresh -> { base with Qdb.backend = Qdb.Sat_backend; incremental = false }
   | Cdcl -> { base with Qdb.backend = Qdb.Sat_backend; incremental = true }
 
 (* One sweep: k admissions into a fresh engine.  Returns the engine (for
@@ -136,25 +144,32 @@ let run_point ~repeats mode ~dense k =
     outcomes )
 
 let run ?(ks = default_ks) ?(dense_k = default_dense_k) ?(repeats = 3) () =
-  let measure ~dense k =
-    let results = List.map (fun mode -> run_point ~repeats mode ~dense k) all_modes in
+  let fresh_ks = List.filter (fun k -> List.mem k ks) fresh_ks in
+  let measure modes ~dense k =
+    let results = List.map (fun mode -> run_point ~repeats mode ~dense k) modes in
     let reference = snd (List.hd results) in
     let identical = List.for_all (fun (_, outcomes) -> outcomes = reference) results in
     (List.map fst results, identical)
   in
-  let sparse = List.map (fun k -> (k, measure ~dense:false k)) ks in
-  let dense_points, dense_identical = measure ~dense:true dense_k in
+  let modes_at k =
+    if List.mem k fresh_ks then all_modes else List.filter (( <> ) Cdcl_fresh) all_modes
+  in
+  let sparse = List.map (fun k -> (k, measure (modes_at k) ~dense:false k)) ks in
+  let dense_points, dense_identical = measure all_modes ~dense:true dense_k in
   let find mode points = List.find (fun p -> p.mode = mode_name mode) points in
   let speedup num den = if den.ns_per_admission > 0. then num.ns_per_admission /. den.ns_per_admission else 0. in
   {
     ks;
+    fresh_ks;
     dense_k;
     repeats;
     cores = Domain.recommended_domain_count ();
     series = List.concat_map (fun (_, (points, _)) -> points) sparse @ dense_points;
-    speedup_vs_dpll =
-      List.map
-        (fun (k, (points, _)) -> (k, speedup (find Dpll points) (find Cdcl points)))
+    speedup_vs_fresh =
+      List.filter_map
+        (fun (k, (points, _)) ->
+          if List.mem k fresh_ks then Some (k, speedup (find Cdcl_fresh points) (find Cdcl points))
+          else None)
         sparse;
     speedup_vs_backtracking =
       List.map
@@ -167,7 +182,7 @@ let run ?(ks = default_ks) ?(dense_k = default_dense_k) ?(repeats = 3) () =
 (* -- Reporting -------------------------------------------------------------- *)
 
 let print r =
-  Common.section "SAT backend: CDCL vs DPLL vs backtracking (pending-depth sweep)";
+  Common.section "SAT backend: incremental CDCL vs fresh CDCL vs backtracking (pending-depth sweep)";
   let rows =
     List.map
       (fun p ->
@@ -186,11 +201,16 @@ let print r =
   Common.print_table ~csv:"sat"
     ~header:[ "k"; "mode"; "us/adm"; "committed"; "rejected"; "conflicts"; "learned"; "fallbacks"; "resets" ]
     rows;
-  List.iter2
-    (fun (k, d) (_, b) ->
-      Printf.printf "k=%-3d cdcl speedup: %.2fx vs dpll, %.2fx vs backtracking\n%!" k d b)
-    r.speedup_vs_dpll r.speedup_vs_backtracking;
-  Printf.printf "(host cores: %d; outcomes %s across the three backends)\n%!" r.cores
+  List.iter
+    (fun (k, b) ->
+      let fresh =
+        match List.assoc_opt k r.speedup_vs_fresh with
+        | Some f -> Printf.sprintf "%.2fx vs cdcl_fresh, " f
+        | None -> ""
+      in
+      Printf.printf "k=%-3d cdcl speedup: %s%.2fx vs backtracking\n%!" k fresh b)
+    r.speedup_vs_backtracking;
+  Printf.printf "(host cores: %d; outcomes %s across the backends)\n%!" r.cores
     (if r.deterministic then "identical" else "DIVERGED");
   if not r.deterministic then
     failwith "sat bench: outcomes diverged across backends"
@@ -198,12 +218,13 @@ let print r =
 let json_of_recording r =
   let b = Buffer.create 2048 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"qdb.bench.sat/v1\",\n";
+  let ints xs = String.concat ", " (List.map string_of_int xs) in
+  Buffer.add_string b "  \"schema\": \"qdb.bench.sat/v2\",\n";
   Buffer.add_string b
     (Printf.sprintf
-       "  \"workload\": {\"ks\": [%s], \"dense_k\": %d, \"repeats\": %d},\n"
-       (String.concat ", " (List.map string_of_int r.ks))
-       r.dense_k r.repeats);
+       "  \"workload\": {\"ks\": [%s], \"fresh_ks\": [%s], \"dense_k\": %d, \"repeats\": \
+        %d},\n"
+       (ints r.ks) (ints r.fresh_ks) r.dense_k r.repeats);
   Buffer.add_string b
     (Printf.sprintf "  \"host\": {\"cores\": %d},\n  \"deterministic\": %b,\n  \"series\": [\n"
        r.cores r.deterministic);
@@ -228,7 +249,7 @@ let json_of_recording r =
              (if i = List.length xs - 1 then "" else ",")))
       xs
   in
-  speedups "speedup_cdcl_vs_dpll" r.speedup_vs_dpll;
+  speedups "speedup_cdcl_vs_fresh" r.speedup_vs_fresh;
   speedups "speedup_cdcl_vs_backtracking" r.speedup_vs_backtracking;
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b

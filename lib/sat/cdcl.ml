@@ -1,5 +1,6 @@
 (* Conflict-driven clause learning with incremental solving under
-   assumptions — the Section 6 "modern solver" upgrade of {!Dpll}.
+   assumptions — the engine's one SAT solver, the Section 6 "modern
+   solver" proposal.
 
    Two watched literals per clause, 1UIP conflict analysis with basic
    clause minimization, VSIDS-style variable activity with decay and an

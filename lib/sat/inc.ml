@@ -1,5 +1,18 @@
-(* Incremental CNF session: {!Encode}'s eager encoding re-cast as a
+(* Incremental CNF session: composed-body satisfiability (the paper's
+   Section 6 "SMT solver" direction, propositional fragment) encoded as a
    persistent delta against a live {!Cdcl} instance.
+
+   Shape of the encoding:
+   - Tseitin selectors mirror the and/or structure; a chunk's root is
+     asserted under its activation literal.
+   - A selected positive atom must choose exactly one candidate tuple from
+     its table (candidates come from the atom's constant pattern).
+   - Choosing a tuple implies value literals e[v=c] for the atom's
+     variable positions; at-most-one over a variable's value literals
+     enforces functional consistency across atoms sharing the variable.
+   - (Dis)equality leaves become conditional conflicts over value
+     literals; a variable with no selected binding atom is unconstrained,
+     matching the vacuous-satisfiability semantics of the search solver.
 
    One session serves every admission check of an engine.  Each
    per-transaction chunk of a composed body (the same chunks
@@ -22,15 +35,17 @@
      them); a stale chunk is re-encoded fresh under a new activation
      literal, and the old gating literal is simply never assumed again;
    - the clause budget: when accumulated garbage exceeds
-     [budget.max_clauses] the whole session is rebuilt from the live
-     chunks (learned clauses are the only loss — correctness never
-     depends on them).
+     [max_clauses] the whole session is rebuilt from the live chunks
+     (learned clauses are the only loss — correctness never depends on
+     them).
 
-   The equality theory ({!Encode.equalize_domains}) is repaired rather
-   than rebuilt: (dis)equality links accumulate across chunks, the
-   union-find closure over *equality* links is recomputed per push, and
-   only theory clauses not yet emitted are added — sound because every
-   theory clause is a monotone conditional addition.  Pairs linked only
+   The equality theory (var-var equality links closed under union-find,
+   so transitive chains propagate even through variables no atom binds)
+   is repaired rather than rebuilt: (dis)equality links accumulate
+   across chunks, the union-find closure over *equality* links is
+   recomputed per push, and only theory clauses not yet emitted are
+   added — sound because every theory clause is a monotone conditional
+   addition.  Pairs linked only
    by disequalities (the pairwise distinctness web across a partition's
    resource variables) stay out of the classes: nothing can force their
    equality bit true except concrete values, so they get one
@@ -57,8 +72,14 @@ type chunk_entry = {
   clauses : int;  (* clauses this chunk's encode added (incl. AMO) *)
 }
 
+(* Encoding budget.  An atom with more candidate tuples, or a chunk with
+   more clauses, is not encoded: the check answers [V_unsupported] and
+   the engine falls back to search.  [max_clauses] also bounds the
+   session's garbage before a rebuild (see [check]). *)
+let max_candidates_per_atom = 4000
+let max_clauses = 400_000
+
 type t = {
-  budget : Encode.budget;
   mutable solver : Cdcl.t;
   value_lits : (int * Value.t, int) Hashtbl.t;
   var_values : (int, Value.t list ref) Hashtbl.t;
@@ -88,9 +109,8 @@ type t = {
 
 exception Chunk_failed of string
 
-let create ?(budget = Encode.default_budget) () =
+let create () =
   {
-    budget;
     solver = Cdcl.create ();
     value_lits = Hashtbl.create 256;
     var_values = Hashtbl.create 64;
@@ -200,7 +220,7 @@ let eq_bit t (v1 : Term.var) (v2 : Term.var) =
     Hashtbl.add t.eq_bits key l;
     l
 
-(* --- per-chunk encoding (the {!Encode} passes, session-ified) --- *)
+(* --- per-chunk encoding --- *)
 
 type chunk_ctx = {
   mutable deps : (string * int) list;
@@ -211,7 +231,7 @@ type chunk_ctx = {
 
 let chunk_clause t ctx lits =
   ctx.chunk_clauses <- ctx.chunk_clauses + 1;
-  if ctx.chunk_clauses > t.budget.Encode.max_clauses then
+  if ctx.chunk_clauses > max_clauses then
     raise (Chunk_failed "sat chunk exceeds clause budget");
   add_clause t lits
 
@@ -230,7 +250,7 @@ let encode_atom t ctx db (a : Atom.t) =
    | None -> chunk_clause t ctx [| -selector |]
    | Some table ->
      let candidates = Table.lookup table (Atom.to_pattern a) in
-     if List.length candidates > t.budget.Encode.max_candidates_per_atom then
+     if List.length candidates > max_candidates_per_atom then
        raise (Chunk_failed "sat atom candidate budget exceeded");
      let choice_lits =
        List.map
@@ -303,7 +323,7 @@ let rec mint_atoms t ctx db f =
   | Formula.True | Formula.False | Formula.Eq _ | Formula.Neq _ -> ()
 
 (* Collect the chunk's var-const value mints and var-var links into the
-   session-wide link set ({!Encode.equalize_domains}'s walk). *)
+   session-wide link set. *)
 let record_link t ctx (v1 : Term.var) (v2 : Term.var) ~eq =
   let key = (min v1.Term.vid v2.Term.vid, max v1.Term.vid v2.Term.vid) in
   (match Hashtbl.find_opt t.links key with
@@ -540,7 +560,7 @@ let check ?conflict_limit ?deadline_ns t db ~chunks =
     let live =
       Hashtbl.fold (fun _ e acc -> acc + e.clauses) t.chunks 0 + t.theory_clauses
     in
-    if t.added_clauses > t.budget.Encode.max_clauses && t.added_clauses > 2 * live then reset t;
+    if t.added_clauses > max_clauses && t.added_clauses > 2 * live then reset t;
     (* Encode what's missing (new chunks, or chunks whose tables moved
        under them), then repair the shared equality theory once. *)
     let result =

@@ -1,6 +1,6 @@
-(** Incremental CNF session: {!Encode} re-cast as a persistent delta
-    against one live {!Cdcl} instance, for incremental solving under
-    assumptions.
+(** Incremental CNF session: composed-body satisfiability encoded as a
+    persistent delta against one live {!Cdcl} instance, for incremental
+    solving under assumptions.
 
     Per-transaction chunks of a composed body are encoded once and gated
     behind activation literals; a check solves under exactly the live
@@ -22,7 +22,7 @@ type verdict =
           constraints, candidate/clause budget, oversized equality class;
           the caller falls back to another backend *)
 
-val create : ?budget:Encode.budget -> unit -> t
+val create : unit -> t
 
 val check :
   ?conflict_limit:int ->
@@ -49,4 +49,5 @@ val live_clauses : t -> int
 
 val reset : t -> unit
 (** Drop everything (chunks, theory, learned clauses) and start from an
-    empty solver; cumulative {!stats} are preserved. *)
+    empty solver; cumulative {!stats} are preserved and {!resets} counts
+    the call.  A check right after [reset] is a from-scratch solve. *)

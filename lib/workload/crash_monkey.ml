@@ -123,7 +123,7 @@ let run_cycle ?actors ?(backend = Qdb.Backtracking) ~seed () =
   let config =
     match engine_backend with
     | Qdb.Sat_backend ->
-      (* Insert-safety predicates are negative atoms the eager encoder
+      (* Insert-safety predicates are negative atoms the SAT encoder
          refuses, so the SAT monkey runs without them — on both sides of
          the crash, or recovery re-admission would diverge. *)
       { Qdb.default_config with Qdb.backend = Qdb.Sat_backend; Qdb.check_inserts = false }

@@ -69,18 +69,19 @@ echo "== rejection-path smoke =="
 # all fire; the bench exits non-zero on any violation.
 dune exec bench/main.exe -- --only rejection
 
-echo "== sat backend sweep (cdcl vs dpll vs backtracking) =="
+echo "== sat backend sweep (cdcl vs cdcl_fresh vs backtracking) =="
 # Pending-depth sweep at k in {40,80,160} plus a dense entangled point,
-# across the three admission backends on identical workloads; the bench
-# itself exits non-zero when accept/reject outcomes diverge between
-# backends at any point.
+# across the admission backends on identical workloads (the from-scratch
+# cdcl_fresh series, one session reset per admission, runs at k in
+# {40,80} and the dense point only); the bench itself exits non-zero when
+# accept/reject outcomes diverge between backends at any point.
 rm -f results/BENCH_sat.json
 dune exec bench/main.exe -- --only sat
 
 echo "== sat regression gate =="
-# Structural gates are exact (outcomes deterministic, CDCL >= 3x DPLL at
-# k=40, CDCL native at k=160 with zero fallbacks and real conflicts,
-# DPLL over budget at k=160); the absolute ns-per-admission latency gate
+# Structural gates are exact (outcomes deterministic, incremental CDCL
+# >= 3x cdcl_fresh at k=40, CDCL native at k=160 with zero fallbacks and
+# real conflicts); the absolute ns-per-admission latency gate
 # is generous (200%) because CI hardware differs from the recording
 # host, while the relative speedups self-normalize.
 dune exec bin/qdb_cli.exe -- bench diff BENCH_sat.json results/BENCH_sat.json --gate 200

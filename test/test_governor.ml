@@ -329,6 +329,22 @@ let test_recheck_fault_at_job_one () =
     (Relational.Store.wal_stats store).Relational.Wal.records;
   Alcotest.(check bool) "invariant holds" true (Qdb.invariant_holds qdb)
 
+(* A refused write installs no partition's recheck outcome.  Deleting all
+   of flight 1 refuses the write (its pending booking has no seat left),
+   while flight 0's recheck would shrink its cache to the two surviving
+   seats; the rollback restores seat 0, so that shrunk cache must never
+   be installed. *)
+let test_refused_write_installs_nothing () =
+  let _, qdb = two_flight_qdb () in
+  book_a_and_b qdb;
+  let before = witness_keys qdb in
+  let del f s = Database.Delete ("Available", Tuple.of_list [ Value.Int f; Value.Int s ]) in
+  (match Qdb.write qdb [ del 0 0; del 1 0; del 1 1; del 1 2 ] with
+   | Error _ -> ()
+   | Ok () -> Alcotest.fail "write accepted although flight 1 has a pending booking");
+  Alcotest.(check bool) "no partition's witnesses changed" true (witness_keys qdb = before);
+  Alcotest.(check bool) "invariant holds" true (Qdb.invariant_holds qdb)
+
 (* -- Witness invalidation and CHOOSE exhaustion ----------------------------- *)
 
 (* A blind write that kills every seat a pending CHOOSE could take must
@@ -424,6 +440,8 @@ let suite =
       test_refill_fault_at_job_one;
     Alcotest.test_case "recheck fault at job 1 installs nothing" `Quick
       test_recheck_fault_at_job_one;
+    Alcotest.test_case "refused write installs nothing" `Quick
+      test_refused_write_installs_nothing;
     Alcotest.test_case "witness invalidation refused" `Quick test_witness_invalidation_refused;
     Alcotest.test_case "choose exhaustion rejects" `Quick test_choose_exhaustion_rejects;
     Alcotest.test_case "latency split by outcome" `Quick test_latency_split_by_outcome;

@@ -1,65 +1,16 @@
-(* Tests for the DPLL SAT solver and the CNF builder. *)
+(* Tests for the CDCL SAT solver, against brute force. *)
 
-let test_trivial () =
-  Alcotest.(check bool) "empty instance sat" true
-    (match Sat.Dpll.solve [] with
-     | Sat.Dpll.Sat _ -> true
-     | Sat.Dpll.Unsat -> false);
-  Alcotest.(check bool) "empty clause unsat" true (Sat.Dpll.solve [ [||] ] = Sat.Dpll.Unsat);
-  Alcotest.(check bool) "unit sat" true
-    (match Sat.Dpll.solve [ [| 1 |] ] with
-     | Sat.Dpll.Sat m -> m.(1)
-     | Sat.Dpll.Unsat -> false);
-  Alcotest.(check bool) "conflicting units unsat" true
-    (Sat.Dpll.solve [ [| 1 |]; [| -1 |] ] = Sat.Dpll.Unsat)
-
-let test_small_instances () =
-  (* (x1 ∨ x2) ∧ (¬x1 ∨ x2) ∧ (x1 ∨ ¬x2): forces x1=x2=true. *)
-  (match Sat.Dpll.solve [ [| 1; 2 |]; [| -1; 2 |]; [| 1; -2 |] ] with
-   | Sat.Dpll.Sat m ->
-     Alcotest.(check bool) "x1" true m.(1);
-     Alcotest.(check bool) "x2" true m.(2)
-   | Sat.Dpll.Unsat -> Alcotest.fail "should be sat");
-  (* All four binary clauses over two vars: unsat. *)
-  Alcotest.(check bool) "full binary unsat" true
-    (Sat.Dpll.solve [ [| 1; 2 |]; [| -1; 2 |]; [| 1; -2 |]; [| -1; -2 |] ] = Sat.Dpll.Unsat)
-
-let test_pigeonhole () =
-  (* PHP(3,2): 3 pigeons, 2 holes — classically unsat.  Var p_{i,h} = 2i+h+1. *)
-  let var i h = (2 * i) + h + 1 in
-  let clauses =
-    (* each pigeon in some hole *)
-    List.init 3 (fun i -> [| var i 0; var i 1 |])
-    @ (* no two pigeons share a hole *)
-    List.concat_map
-      (fun h ->
-        [ [| -var 0 h; -var 1 h |]; [| -var 0 h; -var 2 h |]; [| -var 1 h; -var 2 h |] ])
-      [ 0; 1 ]
-  in
-  Alcotest.(check bool) "php(3,2) unsat" true (Sat.Dpll.solve clauses = Sat.Dpll.Unsat)
-
-let test_cnf_builder () =
-  let cnf = Sat.Cnf.create () in
-  let a = Sat.Cnf.fresh_var cnf and b = Sat.Cnf.fresh_var cnf and c = Sat.Cnf.fresh_var cnf in
-  Sat.Cnf.add_exactly_one cnf [ a; b; c ];
-  (* ALO(1) + AMO(3 pairs) = 4 clauses *)
-  Alcotest.(check int) "exactly-one clause count" 4 (Sat.Cnf.num_clauses cnf);
-  Sat.Cnf.add_clause cnf [ a; Sat.Cnf.neg a ];
-  Alcotest.(check int) "tautology dropped" 4 (Sat.Cnf.num_clauses cnf);
-  Alcotest.(check bool) "bad literal" true
-    (match Sat.Cnf.add_clause cnf [ 99 ] with
-     | exception Sat.Cnf.Bad_literal _ -> true
-     | _ -> false);
-  (match Sat.Dpll.solve (Sat.Cnf.clauses cnf) with
-   | Sat.Dpll.Sat m ->
-     let count = List.length (List.filter (fun v -> m.(v)) [ a; b; c ]) in
-     Alcotest.(check int) "exactly one true" 1 count
-   | Sat.Dpll.Unsat -> Alcotest.fail "exactly-one should be sat")
+(* A model satisfies [clauses] when every clause has a true literal;
+   [model.(v)] is variable [v]'s value. *)
+let check_model clauses model =
+  List.for_all
+    (fun clause -> Array.exists (fun l -> if l > 0 then model.(l) else not model.(-l)) clause)
+    clauses
 
 (* Brute-force reference: try all assignments. *)
 let brute_force num_vars clauses =
   let rec go v model =
-    if v > num_vars then Sat.Dpll.check_model clauses model
+    if v > num_vars then check_model clauses model
     else begin
       model.(v) <- false;
       go (v + 1) model
@@ -78,21 +29,6 @@ let clause_gen num_vars =
     return (if sign then v else -v)
   in
   list_size (int_range 0 20) (map Array.of_list (list_size (int_range 1 4) lit_gen))
-
-let prop_dpll_agrees_with_brute_force =
-  QCheck.Test.make ~name:"dpll = brute force on random 3-sat-ish" ~count:500
-    (QCheck.make (clause_gen 6)
-       ~print:(fun cs ->
-         String.concat " "
-           (List.map
-              (fun c ->
-                "(" ^ String.concat "," (List.map string_of_int (Array.to_list c)) ^ ")")
-              cs)))
-    (fun clauses ->
-      let brute = brute_force 6 clauses in
-      match Sat.Dpll.solve ~num_vars:6 clauses with
-      | Sat.Dpll.Sat model -> brute && Sat.Dpll.check_model clauses model
-      | Sat.Dpll.Unsat -> not brute)
 
 (* --- CDCL --- *)
 
@@ -117,7 +53,11 @@ let test_cdcl_trivial () =
   let s = cdcl_of ~num_vars:2 [ [| 1; 2 |]; [| -1; 2 |]; [| 1; -2 |] ] in
   Alcotest.(check bool) "forced sat" true (Sat.Cdcl.solve s = Sat.Cdcl.Sat);
   Alcotest.(check bool) "x1 forced" true (Sat.Cdcl.value s 1);
-  Alcotest.(check bool) "x2 forced" true (Sat.Cdcl.value s 2)
+  Alcotest.(check bool) "x2 forced" true (Sat.Cdcl.value s 2);
+  (* All four binary clauses over two vars: unsat. *)
+  Alcotest.(check bool) "full binary unsat" true
+    (Sat.Cdcl.solve (cdcl_of ~num_vars:2 [ [| 1; 2 |]; [| -1; 2 |]; [| 1; -2 |]; [| -1; -2 |] ])
+     = Sat.Cdcl.Unsat)
 
 let test_cdcl_pigeonhole () =
   (* PHP(6,5): large enough that learning does real work. *)
@@ -206,7 +146,7 @@ let prop_cdcl_agrees_with_brute_force =
       match Sat.Cdcl.solve s with
       | Sat.Cdcl.Sat ->
         let model = Array.init 7 (fun v -> v > 0 && Sat.Cdcl.value s v) in
-        brute && Sat.Dpll.check_model clauses model
+        brute && check_model clauses model
       | Sat.Cdcl.Unsat -> not brute)
 
 let prop_cdcl_incremental_assumptions =
@@ -233,17 +173,12 @@ let prop_cdcl_incremental_assumptions =
           match Sat.Cdcl.solve ~assumptions:[ act ] s with
           | Sat.Cdcl.Sat ->
             let model = Array.init 6 (fun v -> v > 0 && Sat.Cdcl.value s (v + base)) in
-            brute && Sat.Dpll.check_model clauses model
+            brute && check_model clauses model
           | Sat.Cdcl.Unsat -> not brute)
         instances)
 
 let suite =
-  [ Alcotest.test_case "trivial cases" `Quick test_trivial;
-    Alcotest.test_case "small instances" `Quick test_small_instances;
-    Alcotest.test_case "pigeonhole unsat" `Quick test_pigeonhole;
-    Alcotest.test_case "cnf builder" `Quick test_cnf_builder;
-    QCheck_alcotest.to_alcotest prop_dpll_agrees_with_brute_force;
-    Alcotest.test_case "cdcl trivial cases" `Quick test_cdcl_trivial;
+  [ Alcotest.test_case "cdcl trivial cases" `Quick test_cdcl_trivial;
     Alcotest.test_case "cdcl pigeonhole" `Quick test_cdcl_pigeonhole;
     Alcotest.test_case "cdcl incremental assumptions" `Quick test_cdcl_assumptions;
     Alcotest.test_case "cdcl budgets" `Quick test_cdcl_budgets;

@@ -2,14 +2,14 @@
    four angles:
 
    - qcheck: pushing a body chunk-by-chunk into one persistent
-     {!Sat.Inc} session is equisatisfiable with an eager flattened
-     {!Sat.Encode} of the same conjunction — including after an UNSAT
-     answer (a rejection leaves the dropped chunk's clauses behind as
-     inert garbage) and across resplits and merges of the chunk
-     boundaries;
+     {!Sat.Inc} session is equisatisfiable with the search solver on the
+     flattened conjunction — including after an UNSAT answer (a
+     rejection leaves the dropped chunk's clauses behind as inert
+     garbage) and across resplits and merges of the chunk boundaries;
    - 200 seeded workload traces: [Sat_backend] transcripts are
-     bit-identical to the backtracking engine's, in both the eager-DPLL
-     and incremental-CDCL modes;
+     bit-identical to the backtracking engine's, in both the
+     incremental-CDCL and the from-scratch (session reset per check)
+     modes;
    - governor: an expired deadline surfaces as [Overloaded] under the
      SAT backend, never as a semantic rejection;
    - crash monkey: 50 kill/recover cycles driving the CDCL session
@@ -28,7 +28,7 @@ module Travel = Workload.Travel
 module Prng = Workload.Prng
 open Logic
 
-(* -- Session pushes vs flattened eager encode ------------------------------- *)
+(* -- Session pushes vs search on the flattened body -------------------------- *)
 
 (* Same tiny R/S database as the solver gate. *)
 let make_db r_rows s_rows =
@@ -93,22 +93,17 @@ let session_case =
     ~print:(fun ((c1, c2, c3), _) ->
       String.concat " | " (List.map Formula.to_string [ c1; c2; c3 ]))
 
-(* One session, many checks: a session verdict must agree with the eager
-   flattened encode of the same conjunction whenever both are native. *)
+(* One session, many checks: a native session verdict must agree with
+   the search solver on the flattened conjunction. *)
 let agrees session db chunks =
-  let eager =
-    match Sat.Encode.satisfiable db (Formula.and_ chunks) with
-    | verdict -> verdict
-    | exception Sat.Encode.Unsupported _ -> None
-  in
   match Sat.Inc.check session db ~chunks with
-  | Sat.Inc.V_sat _ -> ( match eager with Some v -> v | None -> true)
-  | Sat.Inc.V_unsat -> ( match eager with Some v -> not v | None -> true)
+  | Sat.Inc.V_sat _ -> Solver.Backtrack.satisfiable db (Formula.and_ chunks)
+  | Sat.Inc.V_unsat -> not (Solver.Backtrack.satisfiable db (Formula.and_ chunks))
   | Sat.Inc.V_unsupported _ -> true
 
 let prop_session_equisatisfiable =
   QCheck.Test.make
-    ~name:"inc session = flattened eager encode (push, reject, resplit, merge)" ~count:300
+    ~name:"inc session = backtrack (push, reject, resplit, merge)" ~count:300
     session_case
     (fun ((c1, c2, c3), (r_rows, s_rows)) ->
       let db = make_db r_rows s_rows in
@@ -116,8 +111,8 @@ let prop_session_equisatisfiable =
       (* Grow the live set one chunk at a time, then re-check earlier
          subsets (a rejected chunk's garbage must stay inert), then the
          same body re-chunked: merged into one chunk and resplit with a
-         different boundary.  Every verdict checks against the flattened
-         eager encode of exactly the live conjunction. *)
+         different boundary.  Every verdict checks against the search
+         solver on exactly the live conjunction. *)
       List.for_all
         (agrees session db)
         [ [ c1 ];
@@ -181,11 +176,12 @@ let apply_trace config trace =
 
 let search = config Qdb.Backtracking ~incremental:true
 let cdcl = config Qdb.Sat_backend ~incremental:true
-let dpll = config Qdb.Sat_backend ~incremental:false
+let fresh = config Qdb.Sat_backend ~incremental:false
 
-(* 200 seeded traces, CDCL vs backtracking; the eager-DPLL mode rides on
-   the first quarter (it re-encodes from scratch each admission, so the
-   equivalence it adds is mostly the encoder's, already heavily covered). *)
+(* 200 seeded traces, CDCL vs backtracking; the from-scratch mode rides
+   on the first quarter (it re-encodes the whole body each admission, so
+   the equivalence it adds is mostly the encoder's, already heavily
+   covered). *)
 let test_sat_trace_identity () =
   for seed = 1 to 200 do
     let trace = gen_trace (Prng.create seed) 12 in
@@ -196,17 +192,17 @@ let test_sat_trace_identity () =
       (apply_trace cdcl trace);
     if seed <= 50 then
       Alcotest.(check (list string))
-        (Printf.sprintf "dpll = backtracking (seed %d)" seed)
+        (Printf.sprintf "fresh = backtracking (seed %d)" seed)
         reference
-        (apply_trace dpll trace)
+        (apply_trace fresh trace)
   done
 
 (* -- Governor: budget blowups stay Overloaded -------------------------------- *)
 
 (* A 1 ns deadline has expired by solve entry in both SAT modes (the
-   DPLL run checks it before its first decision, the CDCL session at the
-   top of [check]); the ladder must exhaust and report [Overloaded] —
-   not swallow the timeout as unsatisfiable. *)
+   CDCL solver checks it on entry, before its first decision); the
+   ladder must exhaust and report [Overloaded] — not swallow the timeout
+   as unsatisfiable. *)
 let test_sat_deadline_overloads () =
   List.iter
     (fun (name, config) ->
@@ -218,7 +214,7 @@ let test_sat_deadline_overloads () =
       | Qdb.Rejected r ->
         Alcotest.failf "%s: deadline expiry misreported as Rejected: %s" name r
       | Qdb.Committed _ -> Alcotest.failf "%s: committed under an expired deadline" name)
-    [ ("cdcl", cdcl); ("dpll", dpll) ]
+    [ ("cdcl", cdcl); ("fresh", fresh) ]
 
 (* -- Crash monkey ------------------------------------------------------------ *)
 

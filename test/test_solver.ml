@@ -151,10 +151,10 @@ let prop_sat_backend_agrees =
   QCheck.Test.make ~name:"SAT backend = backtrack (satisfiability)" ~count:500 case
     (fun (f, (r_rows, s_rows)) ->
       let db = make_db r_rows s_rows in
-      match Sat.Encode.satisfiable db f with
-      | Some verdict -> verdict = Solver.Backtrack.satisfiable db f
-      | None -> true (* over budget *)
-      | exception Sat.Encode.Unsupported _ -> true)
+      match Sat.Inc.check (Sat.Inc.create ()) db ~chunks:[ f ] with
+      | Sat.Inc.V_sat _ -> Solver.Backtrack.satisfiable db f
+      | Sat.Inc.V_unsat -> not (Solver.Backtrack.satisfiable db f)
+      | Sat.Inc.V_unsupported _ -> true)
 
 let test_solutions_complete () =
   let db = make_db [ (0, 1); (1, 2); (2, 3) ] [] in
