@@ -1,6 +1,12 @@
 (** Independent-set partitioning of pending transactions: the "Quantum
     State" organisation of the paper's prototype.  Each partition owns a
-    transaction sequence, its composed body and a solution cache. *)
+    transaction sequence, its composed body and a solution cache.
+
+    A dependence index (atom key -> pending transactions) and a partner
+    index (label -> pending transactions) route every lookup to the few
+    partitions a transaction can touch.  Their results come back in the
+    order a scan of {!all_pending} would give, so routing through them
+    changes no outcome. *)
 
 type partition = {
   pid : int;
@@ -35,31 +41,57 @@ val create :
     engine-level telemetry sees cache-path solver work. *)
 
 val partitions : t -> partition list
+(** Invariant: in descending pid order (newest first), and every
+    partition's sequence in ascending id order. *)
 
 val pending_count : t -> int
 (** O(1): size of the maintained id → partition table. *)
 
 val all_pending : t -> Rtxn.t list
+(** Every pending transaction: partitions in {!partitions} order, each in
+    sequence order. *)
 
 val find_txn : t -> int -> (partition * Rtxn.t) option
 (** O(1) partition lookup through the id table (plus a scan of that
     partition's short, k-bounded sequence). *)
 
 val set_txns : t -> partition -> Rtxn.t list -> unit
-(** Replace a partition's transaction sequence, keeping the id table in
-    sync.  The only sanctioned way to change membership from outside. *)
+(** Replace a partition's transaction sequence, keeping every table in
+    sync (transactions missing from the new sequence leave the pending
+    set).  The only sanctioned way to change membership from outside. *)
 
 val append_txn : t -> partition -> Rtxn.t -> new_clauses:Logic.Formula.t -> unit
-(** Append an admitted transaction: extend the sequence (via
-    {!set_txns}) and the composed chunk cache together.  [new_clauses]
+(** Append an admitted transaction: extend the sequence, the tables and
+    the composed chunk cache together.  [new_clauses]
     must be the delta composition of the transaction against the
-    partition's current sequence. *)
+    partition's current sequence.  Only the new transaction is indexed,
+    so the cost does not grow with the partition. *)
 
 val depends : Rtxn.t -> partition -> bool
 (** Conservative: any atom of the transaction unifies with any atom of a
     partition member. *)
 
-val split_dependent : t -> Rtxn.t -> partition list * partition list
+val dependents : t -> Rtxn.t -> partition list
+(** The partitions the transaction {!depends} on, in {!partitions} order:
+    the exact test runs only on the candidates the dependence index
+    returns. *)
+
+val impacted : t -> Logic.Atom.t list -> Rtxn.t list
+(** Pending transactions with an update atom that unifies one of the
+    atoms (the read-impact criterion), in {!all_pending} order; only the
+    index's candidate partitions are scanned. *)
+
+val labelled : t -> string -> Rtxn.t list
+(** Pending transactions with this label, in {!all_pending} order. *)
+
+val waiting_for : t -> string -> Rtxn.t list
+(** Pending transactions whose trigger is [On_partner label], in
+    {!all_pending} order. *)
+
+val index_consistent : t -> bool
+(** Test hook: rebuild the id table, the dependence index and the partner
+    index from the partition lists, require them equal to the live ones,
+    and check the pid and sequence orders of {!partitions}. *)
 
 val merged_view : partition list -> Rtxn.t list * Compose.Inc.t
 (** Transactions of all parts in admission order, with the merged chunk
@@ -71,8 +103,6 @@ val merge_witnesses : partition list -> Logic.Subst.t option
 val replace :
   t -> partition list -> Rtxn.t list -> Compose.Inc.t -> Logic.Subst.t option -> partition
 (** Swap [old_parts] for a single fresh partition. *)
-
-val remove_partition : t -> partition -> unit
 
 val resplit : t -> partition -> partition list
 (** Re-partition a partition's transactions into independent sets after

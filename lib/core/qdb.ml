@@ -132,6 +132,7 @@ let config t = t.config
 let pending_count t = Partition.pending_count t.parts
 let pending t = Partition.all_pending t.parts
 let partition_count t = List.length (Partition.partitions t.parts)
+let partition_manager t = t.parts
 
 (* Per-partition (pending count, composed-body statistics) — the joins a
    LIMIT-1 compilation of each invariant check would need; the prototype's
@@ -698,17 +699,17 @@ let adapt_partition t (p : Partition.partition) =
 
 (* Multi-solution caches (Section 4's background-process strategy): top
    every partition below capacity back up after the state changed, in
-   ascending-pid order, inline on the commit path with a tight per-solve
-   budget.  The refill is best-effort: a fault injected into any job of
-   the round abandons the whole round before the first refill runs. *)
+   ascending-pid order (the reverse of [Partition.partitions]), inline on
+   the commit path with a tight per-solve budget.  The refill is
+   best-effort: a fault injected into any job of the round abandons the
+   whole round before the first refill runs. *)
 let refill_caches t =
   if t.config.cache_capacity > 1 then begin
     Obs.Flight.time Obs.Flight.Coordination @@ fun () ->
     let below =
-      List.filter
-        (fun p -> not (Solver.Cache.full p.Partition.cache))
-        (List.sort
-           (fun a b -> Int.compare a.Partition.pid b.Partition.pid)
+      List.rev
+        (List.filter
+           (fun p -> not (Solver.Cache.full p.Partition.cache))
            (Partition.partitions t.parts))
     in
     if below <> [] then
@@ -735,20 +736,13 @@ let refill_caches t =
 (* Ground pending partners eagerly: an entangled resource transaction is
    executed as soon as its partner arrives (Section 5.1). *)
 let trigger_partners t committed =
-  let partner_of label txn =
-    match txn.Rtxn.trigger with
-    | Rtxn.On_partner p -> String.equal p label
-    | Rtxn.On_demand -> false
-  in
-  let waiting_for_me =
-    List.filter (partner_of committed.Rtxn.label) (Partition.all_pending t.parts)
-  in
+  let waiting_for_me = Partition.waiting_for t.parts committed.Rtxn.label in
   let my_partner =
     match committed.Rtxn.trigger with
     | Rtxn.On_partner p ->
       List.filter
-        (fun txn -> String.equal txn.Rtxn.label p && txn.Rtxn.id <> committed.Rtxn.id)
-        (Partition.all_pending t.parts)
+        (fun txn -> txn.Rtxn.id <> committed.Rtxn.id)
+        (Partition.labelled t.parts p)
     | Rtxn.On_demand -> []
   in
   match waiting_for_me @ my_partner with
@@ -772,18 +766,14 @@ let trigger_partners t committed =
         match Partition.find_txn t.parts id with
         | Some (p, _) ->
           let existing =
-            Option.value ~default:[] (Hashtbl.find_opt by_partition p.Partition.pid)
+            match Hashtbl.find_opt by_partition p.Partition.pid with
+            | Some (_, ids) -> ids
+            | None -> []
           in
-          Hashtbl.replace by_partition p.Partition.pid (id :: existing)
+          Hashtbl.replace by_partition p.Partition.pid (p, id :: existing)
         | None -> ())
       ids;
-    Hashtbl.fold
-      (fun pid ids acc ->
-        let p =
-          List.find (fun p -> p.Partition.pid = pid) (Partition.partitions t.parts)
-        in
-        ground_in_partition t p ids @ acc)
-      by_partition []
+    Hashtbl.fold (fun _ (p, ids) acc -> ground_in_partition t p ids @ acc) by_partition []
 
 (* An admission that passed its satisfiability check but has not yet
    mutated anything durable: the two-phase split the actor runtime's
@@ -803,7 +793,7 @@ type admission_step =
   | Admission_refused of commit_result
 
 let rec prepare_admission t txn ~gov ~attempts =
-  let dependent, _ = Partition.split_dependent t.parts txn in
+  let dependent = Partition.dependents t.parts txn in
   let prior, merged_body = Partition.merged_view dependent in
   (* k-bound (Section 4): force-ground the oldest pending transaction of
      the would-be partition until the new one fits. *)
@@ -1012,12 +1002,9 @@ let submit ?governor t txn =
 (* -- Reads (Section 3.2.2) ------------------------------------------------ *)
 
 (* Impacted pending transactions: the conservative unifiability criterion
-   — a query atom unifies with a pending update. *)
-let read_impact t (q : Solver.Query.t) =
-  List.filter
-    (fun txn ->
-      Unify.any_unifiable q.Solver.Query.body (List.map Rtxn.update_atom txn.Rtxn.updates))
-    (Partition.all_pending t.parts)
+   — a query atom unifies with a pending update — checked only on the
+   partitions the dependence index returns, in [pending] order. *)
+let read_impact t (q : Solver.Query.t) = Partition.impacted t.parts q.Solver.Query.body
 
 (* Shadow database: current extensional state plus every pending
    transaction's updates under the cached witnesses. *)
@@ -1256,12 +1243,15 @@ let registry t =
 
 (* -- Invariant check (tests, possible-worlds cross-validation) ------------- *)
 
-(* Test hook: beyond satisfiability of the live (incrementally composed)
-   bodies, recompose each partition from scratch and require agreement —
-   the delta-composition equivalence property — and that every cached
-   witness still seeds a successful solve of the from-scratch body. *)
+(* Test hook: the partition manager's tables must match a rebuild from
+   its partition lists.  Beyond satisfiability of the live (incrementally
+   composed) bodies, recompose each partition from scratch and require
+   agreement — the delta-composition equivalence property — and that
+   every cached witness still seeds a successful solve of the
+   from-scratch body. *)
 let invariant_holds t =
-  List.for_all
+  Partition.index_consistent t.parts
+  && List.for_all
     (fun p ->
       let sat ?seed f =
         Solver.Backtrack.satisfiable ?seed ~node_limit:t.config.node_limit (db t) f
@@ -1306,7 +1296,7 @@ let recover ?(config = default_config) ?strict backend =
   List.iter
     (fun txn ->
       t.next_id <- max t.next_id (txn.Rtxn.id + 1);
-      let dependent, _ = Partition.split_dependent t.parts txn in
+      let dependent = Partition.dependents t.parts txn in
       let prior, merged_body = Partition.merged_view dependent in
       let witness = Partition.merge_witnesses dependent in
       let p = Partition.replace t.parts dependent prior merged_body witness in

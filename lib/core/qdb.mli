@@ -93,6 +93,11 @@ val config : t -> config
 val pending_count : t -> int
 val pending : t -> Rtxn.t list
 val partition_count : t -> int
+
+val partition_manager : t -> Partition.t
+(** The live partition manager (a test hook for checking its indexes
+    against exhaustive scans). *)
+
 val max_partition_size : t -> int
 
 val partition_stats : t -> (int * Logic.Formula.stats) list
@@ -193,6 +198,9 @@ val read : ?policy:read_policy -> t -> Solver.Query.t -> Relational.Tuple.t list
     with a query atom (the conservative impact criterion). *)
 
 val read_impact : t -> Solver.Query.t -> Rtxn.t list
+(** The pending transactions a [Collapse] read grounds, in {!pending}
+    order. *)
+
 val shadow_db : t -> Relational.Database.t
 
 val write : t -> Relational.Database.op list -> (unit, string) result
@@ -213,9 +221,10 @@ val set_fault_injector : t -> (kind:string -> fanout:int -> job:int -> unit) -> 
 val clear_fault_injector : t -> unit
 
 val invariant_holds : t -> bool
-(** Test hook: recompose every partition from scratch, require the result
-    satisfiable, the live incrementally-composed body to agree, and every
-    cached witness to seed a successful solve of the from-scratch body. *)
+(** Test hook: require {!Partition.index_consistent}, recompose every
+    partition from scratch, require the result satisfiable, the live
+    incrementally-composed body to agree, and every cached witness to
+    seed a successful solve of the from-scratch body. *)
 
 val recovery_report : t -> Relational.Wal.recovery_report option
 (** Set when this engine was produced by {!recover}: what WAL replay

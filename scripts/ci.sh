@@ -10,6 +10,13 @@ dune build
 echo "== tests =="
 dune runtest
 
+echo "== engine benchmark: flash_crowd at full scale =="
+# The runtest smoke runs every benchmark workload at 1/20 scale, which
+# reaches only 30 flight partitions.  This runs flash_crowd at full size
+# (600 partitions, about 2300 pending) with every correctness check on
+# and the per-layer trace; run.sh exits non-zero on a failed check.
+bash benchmark/run.sh --workload flash_crowd --seed 1 --seconds 1 --trace 1
+
 echo "== crash-monkey smoke =="
 # 200 deterministic crash/recover cycles with fault injection; the
 # subcommand exits 1 on any recovery-invariant violation.

@@ -1,5 +1,6 @@
 (* Tests for the partition manager: dependence, merge exactness, resplit
-   after groundings, soft-unit grouping, and the adaptive policy knob. *)
+   after groundings, soft-unit grouping, the adaptive policy knob, and the
+   routing indexes against exhaustive scans. *)
 
 module Value = Relational.Value
 module Database = Relational.Database
@@ -171,6 +172,109 @@ let prop_invariant_under_mixed_ops =
       ignore (Qdb.ground_all qdb);
       ok && Qdb.pending_count qdb = 0)
 
+(* Index property: on random multi-flight traces — flight-bound
+   bookings, a variable-headed bridge, partner pairs, groundings and
+   Collapse reads — the indexed lookups return after every step exactly
+   what an exhaustive scan of every partition or pending transaction
+   returns, in the same order. *)
+let prop_index_matches_scans =
+  let open QCheck in
+  let flights = 3 in
+  let step_gen = Gen.(triple (int_bound 5) (int_bound (flights - 1)) small_nat) in
+  let print (kind, flight, n) = Printf.sprintf "%d/%d/%d" kind flight n in
+  let bridge label =
+    let f = Term.V (Term.fresh_var "f") and s = Term.V (Term.fresh_var "s") in
+    Rtxn.make ~label
+      ~hard:[ Atom.make "Available" [ f; s ] ]
+      ~updates:
+        [ Rtxn.Del (Atom.make "Available" [ f; s ]);
+          Rtxn.Ins (Atom.make "Bookings" [ Term.str label; f; s ]) ]
+      ()
+  in
+  let any_query rel arity =
+    let args = List.init arity (fun _ -> Term.V (Term.fresh_var "x")) in
+    Solver.Query.make ~head:args ~body:[ Atom.make rel args ] ()
+  in
+  Test.make ~name:"indexed routing = exhaustive scans" ~count:60
+    (make (Gen.list_size (Gen.int_range 1 30) step_gen)
+       ~print:(fun steps -> String.concat ";" (List.map print steps)))
+    (fun steps ->
+      let store = Flights.fresh_store { Flights.flights; rows_per_flight = 2; dest = "LA" } in
+      (* A small k keeps every partition's rejection proofs cheap and adds
+         k-pressure groundings to the trace. *)
+      let qdb = Qdb.create ~config:{ Qdb.default_config with k = 4 } store in
+      let parts = Qdb.partition_manager qdb in
+      let labels = ref [] in
+      let submit txn =
+        labels := txn.Rtxn.label :: !labels;
+        (match txn.Rtxn.trigger with
+         | Rtxn.On_partner p -> labels := p :: !labels
+         | Rtxn.On_demand -> ());
+        ignore (Qdb.submit qdb txn)
+      in
+      let user name flight = { Travel.name; partner = "-"; flight } in
+      let ids = List.map (fun txn -> txn.Rtxn.id) in
+      let routing_matches () =
+        let pending = Partition.all_pending parts in
+        let probes = bridge "probe" :: List.init flights (fun f -> booking "probe" f) in
+        let queries =
+          any_query "Available" 2 :: any_query "Bookings" 3
+          :: List.map (fun l -> Travel.seat_query (user l 0)) !labels
+        in
+        Partition.index_consistent parts
+        && List.for_all
+             (fun probe ->
+               let scanned = List.filter (Partition.depends probe) (Partition.partitions parts) in
+               let indexed = Partition.dependents parts probe in
+               List.length indexed = List.length scanned && List.for_all2 ( == ) indexed scanned)
+             probes
+        && List.for_all
+             (fun label ->
+               ids (Partition.labelled parts label)
+               = ids (List.filter (fun txn -> txn.Rtxn.label = label) pending)
+               && ids (Partition.waiting_for parts label)
+                  = ids (List.filter (fun txn -> txn.Rtxn.trigger = Rtxn.On_partner label) pending))
+             !labels
+        && List.for_all
+             (fun (q : Solver.Query.t) ->
+               ids (Qdb.read_impact qdb q)
+               = ids
+                   (List.filter
+                      (fun txn ->
+                        Unify.any_unifiable q.Solver.Query.body
+                          (List.map Rtxn.update_atom txn.Rtxn.updates))
+                      pending))
+             queries
+      in
+      List.for_all
+        (fun (kind, flight, n) ->
+          (match kind with
+           (* Labels repeat across flights, so label lookups span
+              partitions. *)
+           | 0 | 1 -> submit (Travel.plain_txn (user (Printf.sprintf "u%d" (n mod 4)) flight))
+           | 2 ->
+             (* One half of an entangled pair; the other half's arrival
+                grounds both. *)
+             let pair = Printf.sprintf "p%d" (n mod 3) in
+             let name, partner =
+               if n mod 2 = 0 then (pair ^ "a", pair ^ "b") else (pair ^ "b", pair ^ "a")
+             in
+             submit (Travel.entangled_txn { Travel.name; partner; flight })
+           | 3 -> submit (bridge (Printf.sprintf "bridge%d" n))
+           | 4 ->
+             (match Qdb.pending qdb with
+              | [] -> ()
+              | pending ->
+                ignore (Qdb.ground qdb (List.nth pending (n mod List.length pending)).Rtxn.id))
+           | _ ->
+             (match !labels with
+              | [] -> ()
+              | labels ->
+                let label = List.nth labels (n mod List.length labels) in
+                ignore (Qdb.read ~policy:Qdb.Collapse qdb (Travel.seat_query (user label flight)))));
+          routing_matches ())
+        steps)
+
 let suite =
   [ Alcotest.test_case "dependence" `Quick test_dependence;
     Alcotest.test_case "merge exactness" `Quick test_merge_exactness;
@@ -178,4 +282,5 @@ let suite =
     Alcotest.test_case "soft unit grouping" `Quick test_soft_unit_grouping;
     Alcotest.test_case "adaptive policy" `Quick test_adaptive_policy;
     QCheck_alcotest.to_alcotest prop_invariant_under_mixed_ops;
+    QCheck_alcotest.to_alcotest prop_index_matches_scans;
   ]
