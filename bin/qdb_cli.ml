@@ -703,8 +703,12 @@ let load_cmd =
        phases_s entry for every flight-recorder phase, attributing
        >= 95% of measured actor busy time; speedup_vs_1 >= 0.9 at every
        point (multicore wins are gravy; going *slower* with more
-       domains fails); and the contended companion series must show
-       real rejections and real Overloaded outcomes;
+       domains fails); the contended companion series must show
+       real rejections and real Overloaded outcomes; and solver_nodes,
+       solver_candidates, committed and rejected are pinned exactly to
+       the baseline point with the same domain count, the contended
+       committed/rejected/overloaded counts to the baseline point with
+       the same regime and domain count;
      qdb.bench.server/v1 — admission outcome counts pinned exactly to
        the baseline's (the load is seeded and per-flight-deterministic),
        zero error responses, mean group-commit batch size > 1 (the
@@ -795,6 +799,11 @@ let scaling_base_cost label j =
   | Some p -> jnum label "ns_per_admission" p
   | None -> bench_fail "%s: no 1-domain point" label
 
+let scaling_contended label j =
+  match Json.member "contended" j with
+  | Some (Json.List points) -> points
+  | _ -> bench_fail "%s: missing \"contended\" series" label
+
 (* Scaling v4 gates.  [attributed_pct]'s denominator is measured actor
    busy time, so the 95% floor is meaningful at every domain count.  The
    no-slowdown gate encodes the 1-core honesty rule: with the hardware
@@ -826,11 +835,7 @@ let scaling_v4_check label j =
            admission down (floor: 0.90x)"
           label domains speedup)
     (jseries label j);
-  let contended =
-    match Json.member "contended" j with
-    | Some (Json.List points) -> points
-    | _ -> bench_fail "%s: missing \"contended\" series" label
-  in
+  let contended = scaling_contended label j in
   let some field =
     List.exists (fun p -> jnum label field p > 0.) contended
   in
@@ -838,6 +843,46 @@ let scaling_v4_check label j =
     bench_fail "%s: no contended point with real rejections" label;
   if not (some "overloaded") then
     bench_fail "%s: no contended point with real Overloaded outcomes" label
+
+(* Scaling v4 pins.  The workload is seeded and the search order fixed,
+   so search effort and outcomes are deterministic: every current point
+   must match, field for field, the baseline point with the same key
+   (domain count; regime and domain count for the contended series). *)
+let pin_points what ~key ~fields baseline_points current_points =
+  List.iter
+    (fun cp ->
+      let k = key "current" cp in
+      match List.find_opt (fun bp -> String.equal (key "baseline" bp) k) baseline_points with
+      | None -> bench_fail "baseline has no %s point with %s" what k
+      | Some bp ->
+        List.iter
+          (fun field ->
+            let b = jnum "baseline" field bp and c = jnum "current" field cp in
+            if b <> c then
+              bench_fail "%s point %s: %s is %.0f, baseline pins %.0f" what k field c b)
+          fields)
+    current_points;
+  List.length current_points
+
+let scaling_v4_pins baseline current =
+  let domains label p = Printf.sprintf "domains=%.0f" (jnum label "domains" p) in
+  let regime label p =
+    Printf.sprintf "regime=%s %s" (jstr label "regime" p) (domains label p)
+  in
+  let n =
+    pin_points "series" ~key:domains
+      ~fields:[ "solver_nodes"; "solver_candidates"; "committed"; "rejected" ]
+      (jseries "baseline" baseline) (jseries "current" current)
+  in
+  let m =
+    pin_points "contended" ~key:regime ~fields:[ "committed"; "rejected"; "overloaded" ]
+      (scaling_contended "baseline" baseline)
+      (scaling_contended "current" current)
+  in
+  Printf.printf
+    "OK: solver nodes/candidates and committed/rejected match baseline at %d point(s); \
+     contended outcomes match at %d point(s)\n"
+    n m
 
 (* Sat v2: one sparse-series point by backend mode and pending depth. *)
 let sat_point label ~mode ~k j =
@@ -914,6 +959,7 @@ let run_bench_diff baseline_path current_path gate =
        (scaling_base_cost "baseline" baseline)
        (scaling_base_cost "current" current);
      scaling_v4_check "current" current;
+     scaling_v4_pins baseline current;
      Printf.printf
        "OK: every phase reported, attribution >= 95%% of busy, no slowdown at any domain \
         count (>= 0.90x), contended series has real rejections and overloads\n"

@@ -96,10 +96,6 @@ type t = {
   config : config;
   metrics : Metrics.t;
   mutable next_id : int;
-  (* observer invoked for every grounding, wherever it was triggered
-     (explicit, read-induced, partner arrival, k-pressure) — the paper's
-     optional second notification that values have been assigned. *)
-  mutable ground_hook : (grounding -> unit) option;
   (* chaos hook (fault-injection harness): consulted for every job of a
      partition round (cache refill, write recheck) with a deterministic
      (kind, round seq, job index) coordinate; raising aborts the whole
@@ -187,7 +183,6 @@ let create ?(config = default_config) store =
     config;
     metrics;
     next_id = 0;
-    ground_hook = None;
     fault_injector = None;
     fanout_seq = 0;
     sat_session = None;
@@ -610,9 +605,6 @@ let ground_partition_body t (p : Partition.partition) target_ids =
       in
       Solver.Cache.set_witness p.Partition.cache (Subst.restrict remaining_vars valuation);
       ignore (Partition.resplit t.parts p);
-      (match t.ground_hook with
-       | Some hook -> List.iter hook groundings
-       | None -> ());
       groundings
   end
 
@@ -636,9 +628,6 @@ let ground_in_partition t (p : Partition.partition) target_ids =
       in
       grounded := gs;
       gs)
-
-let set_ground_hook t hook = t.ground_hook <- Some hook
-let clear_ground_hook t = t.ground_hook <- None
 
 let ground t id =
   match Partition.find_txn t.parts id with

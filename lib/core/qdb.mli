@@ -176,13 +176,6 @@ type grounding = {
   optional_satisfied : bool array;  (** per soft unit of this transaction *)
 }
 
-val set_ground_hook : t -> (grounding -> unit) -> unit
-(** Observe every grounding, however triggered (explicit, read-induced,
-    partner arrival, k-pressure) — the optional second notification of the
-    paper's programming API ("values have now been assigned"). *)
-
-val clear_ground_hook : t -> unit
-
 val ground : t -> int -> grounding list
 (** Fix the values of one pending transaction (Section 3.2.3).  Under
     [Strict] the whole arrival-order prefix grounds with it; under

@@ -22,8 +22,8 @@ module Database = Relational.Database
 open Logic
 
 type stats = {
-  mutable nodes : int; (* choice points expanded *)
-  mutable candidates : int; (* tuples / branches tried *)
+  mutable nodes : int;
+  mutable candidates : int;
   mutable backtracks : int;
   mutable propagations : int;
 }
@@ -61,29 +61,32 @@ type goal =
   | G_lt of Term.t * Term.t
   | G_le of Term.t * Term.t
 
-(* Decompose a conjunction into goals, preserving formula order: ties in
-   the branching heuristic fall back to list order, so callers can put the
-   most conflict-prone obligations first (the grounding path relies on
-   this to keep failures shallow). *)
-let goals_of_formula f init =
-  let rec go f acc =
+(* Decompose a conjunction into goals in front of [rest], or [None] when
+   it contains [False].  Formula order is preserved: ties in the branching
+   heuristic fall back to list order, so callers can put the most
+   conflict-prone obligations first (the grounding path relies on this to
+   keep failures shallow). *)
+let goals_of_formula f rest =
+  let rec push f rest =
     match f with
-    | Formula.True -> Some acc
-    | Formula.False -> None
-    | Formula.Atom a -> Some (G_atom a :: acc)
-    | Formula.Not_atom a -> Some (G_not_atom a :: acc)
-    | Formula.Key_free a -> Some (G_key_free a :: acc)
+    | Formula.True -> rest
+    | Formula.False -> raise_notrace Exit
+    | Formula.Atom a -> G_atom a :: rest
+    | Formula.Not_atom a -> G_not_atom a :: rest
+    | Formula.Key_free a -> G_key_free a :: rest
     | Formula.Eq _ ->
       (* Equalities are consumed by propagation before decomposition; keep
          them as a one-branch Or so the generic path handles stragglers. *)
-      Some (G_or [ f ] :: acc)
-    | Formula.Neq (t1, t2) -> Some (G_neq (t1, t2) :: acc)
-    | Formula.Lt (t1, t2) -> Some (G_lt (t1, t2) :: acc)
-    | Formula.Le (t1, t2) -> Some (G_le (t1, t2) :: acc)
-    | Formula.And fs -> List.fold_left (fun acc f -> Option.bind acc (go f)) (Some acc) fs
-    | Formula.Or fs -> Some (G_or fs :: acc)
+      G_or [ f ] :: rest
+    | Formula.Neq (t1, t2) -> G_neq (t1, t2) :: rest
+    | Formula.Lt (t1, t2) -> G_lt (t1, t2) :: rest
+    | Formula.Le (t1, t2) -> G_le (t1, t2) :: rest
+    | Formula.And fs -> List.fold_right push fs rest
+    | Formula.Or fs -> G_or fs :: rest
   in
-  Option.map (fun gs -> List.rev_append gs init) (go f [])
+  match push f rest with
+  | goals -> Some goals
+  | exception Exit -> None
 
 (* Simplify a formula under the current bindings; cheap and local. *)
 let simplify subst f = Formula.apply_subst subst f
@@ -106,29 +109,11 @@ let propagate db stats subst goals =
       end
       else go subst (G_atom a :: acc) rest
     | G_neq (t1, t2) :: rest ->
-      (match Formula.neq (Subst.resolve subst t1) (Subst.resolve subst t2) with
-       | Formula.True ->
-         changed := true;
-         go subst acc rest
-       | Formula.False -> None
-       | Formula.Neq (t1, t2) -> go subst (G_neq (t1, t2) :: acc) rest
-       | _ -> assert false)
+      comparison subst acc rest Formula.neq (fun t1 t2 -> G_neq (t1, t2)) t1 t2
     | G_lt (t1, t2) :: rest ->
-      (match Formula.lt (Subst.resolve subst t1) (Subst.resolve subst t2) with
-       | Formula.True ->
-         changed := true;
-         go subst acc rest
-       | Formula.False -> None
-       | Formula.Lt (t1, t2) -> go subst (G_lt (t1, t2) :: acc) rest
-       | _ -> assert false)
+      comparison subst acc rest Formula.lt (fun t1 t2 -> G_lt (t1, t2)) t1 t2
     | G_le (t1, t2) :: rest ->
-      (match Formula.le (Subst.resolve subst t1) (Subst.resolve subst t2) with
-       | Formula.True ->
-         changed := true;
-         go subst acc rest
-       | Formula.False -> None
-       | Formula.Le (t1, t2) -> go subst (G_le (t1, t2) :: acc) rest
-       | _ -> assert false)
+      comparison subst acc rest Formula.le (fun t1 t2 -> G_le (t1, t2)) t1 t2
     | G_not_atom a :: rest ->
       let a = Subst.apply_atom subst a in
       if Atom.is_ground a then begin
@@ -157,31 +142,23 @@ let propagate db stats subst goals =
          (match Unify.unify_terms subst t1 t2 with
           | Some subst -> go subst acc rest
           | None -> None)
-       | Formula.And _ as f ->
-         (* Collapsed to one branch: splice its goals in. *)
+       | Formula.Or fs -> go subst (G_or fs :: acc) rest
+       | f ->
+         (* Collapsed to one formula: splice its goals in. *)
          changed := true;
-         (match goals_of_formula f [] with
-          | Some gs -> go subst acc (gs @ rest)
-          | None -> None)
-       | Formula.Atom a ->
-         changed := true;
-         go subst acc (G_atom a :: rest)
-       | Formula.Not_atom a ->
-         changed := true;
-         go subst acc (G_not_atom a :: rest)
-       | Formula.Key_free a ->
-         changed := true;
-         go subst acc (G_key_free a :: rest)
-       | Formula.Neq (t1, t2) ->
-         changed := true;
-         go subst acc (G_neq (t1, t2) :: rest)
-       | Formula.Lt (t1, t2) ->
-         changed := true;
-         go subst acc (G_lt (t1, t2) :: rest)
-       | Formula.Le (t1, t2) ->
-         changed := true;
-         go subst acc (G_le (t1, t2) :: rest)
-       | Formula.Or fs -> go subst (G_or fs :: acc) rest)
+         (match goals_of_formula f rest with
+          | Some rest -> go subst acc rest
+          | None -> None))
+  (* A comparison goal ([decide] is [Formula.neq], [lt] or [le]): drop it
+     once it holds, fail once it cannot, otherwise keep it, resolved. *)
+  and comparison subst acc rest decide goal t1 t2 =
+    let t1 = Subst.resolve subst t1 and t2 = Subst.resolve subst t2 in
+    match decide t1 t2 with
+    | Formula.True ->
+      changed := true;
+      go subst acc rest
+    | Formula.False -> None
+    | _ -> go subst (goal t1 t2 :: acc) rest
   in
   go subst [] goals
 
@@ -276,87 +253,102 @@ let pick_branch db cache subst goals =
 
 let default_node_limit = 2_000_000
 
-let solve_goals ?(node_limit = default_node_limit) ?deadline_ns db stats subst goals =
+(* The one search loop behind [solve] and [solutions].  Each node
+   propagates to a fixpoint, picks the most constrained goal and tries its
+   alternatives in order: tuples in primary-key order for an atom, branches
+   in list order for an OR node.  [leaf] sees every satisfying valuation
+   and returns [true] to stop the whole search.  A choice point none of
+   whose alternatives reached a leaf is one backtrack; a relation with no
+   table is an empty candidate stream. *)
+let search ?(node_limit = default_node_limit) ?deadline_ns db stats ~leaf subst goals =
   (* The budget is per call: [stats] may be a long-lived cumulative
      counter shared across the engine's lifetime. *)
   let base_nodes = stats.nodes in
   let node_ceiling = base_nodes + node_limit in
   let cache : est_cache = Hashtbl.create 64 in
-  let rec search subst goals =
+  let leaves = ref 0 in
+  (* Each function returns [true] once [leaf] asked to stop. *)
+  let rec expand subst goals =
     if stats.nodes > node_ceiling then raise Too_many_nodes;
     (* Stride relative to this call's entry: [stats] is cumulative and
        need not be 256-aligned, and the very first check (offset 0) makes
        an already-expired deadline fire before any search happens. *)
     check_deadline deadline_ns (stats.nodes - base_nodes);
     match propagate_fix db stats subst goals with
-    | None -> None
+    | None -> false
     | Some (subst, goals) ->
       (match pick_branch db cache subst goals with
        | None ->
          (* Only deferred Neq / Not_atom goals remain, all with at least one
             unbound, otherwise-unconstrained variable: vacuously satisfiable
             over an unbounded value universe. *)
-         Some subst
-       | Some (goal, rest) ->
+         incr leaves;
+         leaf subst
+       | Some (G_atom a, rest) ->
          stats.nodes <- stats.nodes + 1;
-         (match goal with
-          | G_atom a ->
-            let a = Subst.apply_atom subst a in
-            (match Database.find_table db a.Atom.rel with
-             | None -> None
-             | Some table ->
-               (* Primary-key-ordered streaming enumeration, straight off
-                  the table's sorted index buckets: deterministic, no
-                  per-choice-point materialization or sort, and it *packs*
-                  witnesses into the low end of each resource domain,
-                  which keeps contiguous resources (whole seat rows) free
-                  for later coordination constraints.  Measurably better
-                  than hash order for the seeded grounding solves. *)
-               let candidates = Table.lookup_seq table (Atom.to_pattern a) in
-               try_tuples a rest subst candidates)
-          | G_or fs -> try_branches rest subst fs
-          | G_neq _ | G_not_atom _ | G_key_free _ | G_lt _ | G_le _ -> assert false))
+         let leaves0 = !leaves in
+         let a = Subst.apply_atom subst a in
+         (* Primary-key-ordered streaming enumeration, straight off the
+            table's sorted index buckets: deterministic, no
+            per-choice-point materialization or sort, and it *packs*
+            witnesses into the low end of each resource domain, which
+            keeps contiguous resources (whole seat rows) free for later
+            coordination constraints.  Measurably better than hash order
+            for the seeded grounding solves. *)
+         let candidates =
+           match Database.find_table db a.Atom.rel with
+           | None -> Seq.empty
+           | Some table -> Table.lookup_seq table (Atom.to_pattern a)
+         in
+         try_tuples a rest subst candidates || dead_end leaves0 a.Atom.rel
+       | Some (G_or fs, rest) ->
+         stats.nodes <- stats.nodes + 1;
+         let leaves0 = !leaves in
+         try_branches rest subst fs || dead_end leaves0 "or"
+       | Some ((G_neq _ | G_not_atom _ | G_key_free _ | G_lt _ | G_le _), _) -> assert false)
   and try_tuples a rest subst candidates =
-    match Seq.uncons candidates with
-    | None ->
-      stats.backtracks <- stats.backtracks + 1;
-      if Obs.Trace.on () then
-        Obs.Trace.instant ~cat:"solver"
-          ~args:[ ("rel", Obs.Trace.Str a.Atom.rel); ("node", Obs.Trace.Int stats.nodes) ]
-          "solver.backtrack";
-      None
-    | Some (tuple, more) ->
+    match candidates () with
+    | Seq.Nil -> false
+    | Seq.Cons (tuple, more) ->
       stats.candidates <- stats.candidates + 1;
-      let ground = Atom.of_tuple a.Atom.rel tuple in
-      (match Unify.mgu ~subst a ground with
-       | Some subst' ->
-         (match search subst' rest with
-          | Some _ as result -> result
-          | None -> try_tuples a rest subst more)
-       | None -> try_tuples a rest subst more)
+      (match Unify.mgu ~subst a (Atom.of_tuple a.Atom.rel tuple) with
+       | Some subst' -> expand subst' rest
+       | None -> false)
+      || try_tuples a rest subst more
   and try_branches rest subst = function
-    | [] ->
-      stats.backtracks <- stats.backtracks + 1;
-      if Obs.Trace.on () then
-        Obs.Trace.instant ~cat:"solver"
-          ~args:[ ("rel", Obs.Trace.Str "or"); ("node", Obs.Trace.Int stats.nodes) ]
-          "solver.backtrack";
-      None
+    | [] -> false
     | branch :: more ->
       stats.candidates <- stats.candidates + 1;
-      (match goals_of_formula (simplify subst branch) [] with
-       | Some branch_goals ->
-         (match search subst (branch_goals @ rest) with
-          | Some _ as result -> result
-          | None -> try_branches rest subst more)
-       | None -> try_branches rest subst more)
+      (match goals_of_formula (simplify subst branch) rest with
+       | Some goals -> expand subst goals
+       | None -> false)
+      || try_branches rest subst more
+  and dead_end leaves0 rel =
+    if !leaves = leaves0 then begin
+      stats.backtracks <- stats.backtracks + 1;
+      if Obs.Trace.on () then
+        Obs.Trace.instant ~cat:"solver"
+          ~args:[ ("rel", Obs.Trace.Str rel); ("node", Obs.Trace.Int stats.nodes) ]
+          "solver.backtrack"
+    end;
+    false
   in
-  search subst goals
+  ignore (expand subst goals)
 
-(* One span per solve call, reporting the search effort it added to the
+(* One span per call, reporting the search effort it added to the
    (possibly shared, cumulative) stats record. *)
-let solve_span name stats found f =
-  if not (Obs.Trace.on ()) then f ()
+let run span ?node_limit ?deadline_ns ?(seed = Subst.empty) ?stats ~found ~leaf db formula =
+  let stats =
+    match stats with
+    | Some s -> s
+    | None -> fresh_stats ()
+  in
+  let go () =
+    match goals_of_formula (simplify seed formula) [] with
+    | None -> ()
+    | Some goals -> search ?node_limit ?deadline_ns db stats ~leaf seed goals
+  in
+  if not (Obs.Trace.on ()) then go ()
   else begin
     let nodes0 = stats.nodes and backtracks0 = stats.backtracks in
     let candidates0 = stats.candidates in
@@ -367,100 +359,29 @@ let solve_span name stats found f =
           ("backtracks", Obs.Trace.Int (stats.backtracks - backtracks0));
           ("found", Obs.Trace.Bool (found ()));
         ])
-      name f
+      span go
   end
 
-let solve ?node_limit ?deadline_ns ?(seed = Subst.empty) ?stats db formula =
-  let stats =
-    match stats with
-    | Some s -> s
-    | None -> fresh_stats ()
-  in
+let solve ?node_limit ?deadline_ns ?seed ?stats db formula =
   let result = ref None in
-  solve_span "solver.solve" stats
-    (fun () -> Option.is_some !result)
-    (fun () ->
-      match goals_of_formula (simplify seed formula) [] with
-      | None -> None
-      | Some goals ->
-        let r = solve_goals ?node_limit ?deadline_ns db stats seed goals in
-        result := r;
-        r)
+  run "solver.solve" ?node_limit ?deadline_ns ?seed ?stats db formula
+    ~found:(fun () -> Option.is_some !result)
+    ~leaf:(fun subst ->
+      result := Some subst;
+      true);
+  !result
 
 let satisfiable ?node_limit ?deadline_ns ?seed ?stats db formula =
   Option.is_some (solve ?node_limit ?deadline_ns ?seed ?stats db formula)
 
-(* -- All-solutions enumeration (read queries, possible-worlds checks) ----- *)
-
-let solutions ?(node_limit = default_node_limit) ?deadline_ns ?(seed = Subst.empty) ?stats
-    ?(limit = max_int) db formula =
-  let stats =
-    match stats with
-    | Some s -> s
-    | None -> fresh_stats ()
-  in
-  let results = ref [] in
-  let count = ref 0 in
-  let exception Done in
-  let emit subst =
-    results := subst :: !results;
-    incr count;
-    if !count >= limit then raise Done
-  in
-  let base_nodes = stats.nodes in
-  let node_ceiling = base_nodes + node_limit in
-  let cache : est_cache = Hashtbl.create 64 in
-  let rec search subst goals =
-    if stats.nodes > node_ceiling then raise Too_many_nodes;
-    check_deadline deadline_ns (stats.nodes - base_nodes);
-    match propagate_fix db stats subst goals with
-    | None -> ()
-    | Some (subst, goals) ->
-      (match pick_branch db cache subst goals with
-       | None -> emit subst
-       | Some (goal, rest) ->
-         stats.nodes <- stats.nodes + 1;
-         (* A choice point none of whose alternatives led to a solution is
-            one dead end — the same accounting [solve] uses for an empty
-            candidate stream.  [Done] (the enumeration limit) escapes
-            before the increment, like a success would. *)
-         let emitted = !count in
-         (match goal with
-          | G_atom a ->
-            let a = Subst.apply_atom subst a in
-            (match Database.find_table db a.Atom.rel with
-             | None -> ()
-             | Some table ->
-               Seq.iter
-                 (fun tuple ->
-                   stats.candidates <- stats.candidates + 1;
-                   match Unify.mgu ~subst a (Atom.of_tuple a.Atom.rel tuple) with
-                   | Some subst' -> search subst' rest
-                   | None -> ())
-                 (Table.lookup_seq table (Atom.to_pattern a)))
-          | G_or fs ->
-            List.iter
-              (fun branch ->
-                stats.candidates <- stats.candidates + 1;
-                match goals_of_formula (simplify subst branch) [] with
-                | Some branch_goals -> search subst (branch_goals @ rest)
-                | None -> ())
-              fs
-          | G_neq _ | G_not_atom _ | G_key_free _ | G_lt _ | G_le _ -> assert false);
-         if !count = emitted then begin
-           stats.backtracks <- stats.backtracks + 1;
-           if Obs.Trace.on () then
-             Obs.Trace.instant ~cat:"solver"
-               ~args:[ ("node", Obs.Trace.Int stats.nodes) ]
-               "solver.backtrack"
-         end)
-  in
-  solve_span "solver.solutions" stats
-    (fun () -> !results <> [])
-    (fun () ->
-      (try
-         match goals_of_formula (simplify seed formula) [] with
-         | None -> ()
-         | Some goals -> search seed goals
-       with Done -> ());
-      List.rev !results)
+(* All valuations in search order, up to [limit]: read queries and the
+   possible-worlds checks. *)
+let solutions ?node_limit ?deadline_ns ?seed ?stats ?(limit = max_int) db formula =
+  let results = ref [] and count = ref 0 in
+  run "solver.solutions" ?node_limit ?deadline_ns ?seed ?stats db formula
+    ~found:(fun () -> !results <> [])
+    ~leaf:(fun subst ->
+      results := subst :: !results;
+      incr count;
+      !count >= limit);
+  List.rev !results

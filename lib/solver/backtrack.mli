@@ -4,13 +4,21 @@
     Equivalent to the paper's LIMIT 1 compilation: an indexed
     nested-loop-join search that stops at the first valuation, with eager
     equality propagation, most-constrained-first atom selection and
-    deferred disequality / negated-atom checking. *)
+    deferred disequality / negated-atom checking.  {!solve} and
+    {!solutions} run the same search and differ only at a leaf: [solve]
+    stops at the first valuation, [solutions] records it and stops at
+    [limit]. *)
 
+(** Search effort, added to by every call that is passed the record.  The
+    flight recorder, [Metrics] and the benchmark's per-layer [solver.*]
+    metrics all read these counters. *)
 type stats = {
-  mutable nodes : int;
-  mutable candidates : int;
+  mutable nodes : int;  (** choice points expanded *)
+  mutable candidates : int;  (** tuples or OR branches tried *)
   mutable backtracks : int;
-  mutable propagations : int;
+      (** choice points none of whose alternatives reached a leaf; a
+          relation with no table is an empty candidate stream *)
+  mutable propagations : int;  (** ground positive atoms checked *)
 }
 
 val fresh_stats : unit -> stats

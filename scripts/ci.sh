@@ -110,12 +110,16 @@ dune exec bin/qdb_cli.exe -- scaling --domains 1,2 --out results/BENCH_scaling.j
        dune exec bin/qdb_cli.exe -- profile --top 10 > results/scaling_failure_profile.txt 2>&1 || true; \
        exit 1; }
 
-echo "== scaling regression gate (no-slowdown) =="
+echo "== scaling regression gate (no-slowdown, exact pins) =="
 # Same comparator as the admission gate.  Schema v4 additionally gates:
 # a phases_s entry for every flight-recorder phase, per-phase attribution
 # >= 95% of measured actor busy time, speedup_vs_1 >= 0.90 at every point
 # (more domains may never slow admission down), and real
-# rejected/Overloaded outcomes on the contended companion series.
+# rejected/Overloaded outcomes on the contended companion series.  It
+# pins exactly, against the baseline point with the same domain count,
+# solver_nodes, solver_candidates, committed and rejected (638263 /
+# 2194464 / 1500 / 0), and each contended point's
+# committed/rejected/overloaded counts per (regime, domains).
 dune exec bin/qdb_cli.exe -- bench diff BENCH_scaling.json results/BENCH_scaling.json --gate 25 \
   || { mkdir -p results; \
        dune exec bin/qdb_cli.exe -- profile --top 10 > results/scaling_failure_profile.txt 2>&1 || true; \

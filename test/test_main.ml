@@ -24,7 +24,6 @@ let () =
       ("partition", Test_partition.suite);
       ("engine-edge", Test_engine_edge.suite);
       ("incremental", Test_incremental.suite);
-      ("session", Test_session.suite);
       ("parser", Test_parser.suite);
       ("sql-parser", Test_sql_parser.suite);
       ("calendar", Test_calendar.suite);

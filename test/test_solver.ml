@@ -325,6 +325,56 @@ let test_node_limit () =
      | _ -> false);
   Alcotest.(check bool) "normal budget solves" true (Solver.Backtrack.satisfiable db f)
 
+(* A choice point over a relation with no table is an empty candidate
+   stream: one dead end, whichever entry point searched it. *)
+let test_unknown_relation_backtracks () =
+  let db = make_db [ (0, 1) ] [] in
+  let x = Term.fresh_var "x" in
+  let f = Formula.Atom (Atom.make "T" [ Term.V x; Term.int 0 ]) in
+  let s1 = Solver.Backtrack.fresh_stats () and s2 = Solver.Backtrack.fresh_stats () in
+  Alcotest.(check bool) "solve finds nothing" true (Solver.Backtrack.solve ~stats:s1 db f = None);
+  Alcotest.(check int) "solutions finds nothing" 0
+    (List.length (Solver.Backtrack.solutions ~stats:s2 db f));
+  Alcotest.(check int) "solve counts one backtrack" 1 s1.Solver.Backtrack.backtracks;
+  Alcotest.(check int) "solutions counts one backtrack" 1 s2.Solver.Backtrack.backtracks
+
+(* [case], half the time with an atom over the table-less relation T
+   conjoined.  Its variable appears nowhere else, so the atom stays a
+   choice point (a ground atom over an unknown relation is a lookup
+   error, not a dead end). *)
+let untabled = Term.fresh_var "u"
+
+let missing_table_case =
+  let gen =
+    let open QCheck.Gen in
+    let* missing = bool and* f = formula_case_gen and* rows = db_gen in
+    let t = Formula.Atom (Atom.make "T" [ Term.V untabled; Term.int 0 ]) in
+    return ((if missing then Formula.And [ f; t ] else f), rows)
+  in
+  QCheck.make gen ~print:(fun (f, _) -> Formula.to_string f)
+
+let prop_one_search_two_leaf_policies =
+  QCheck.Test.make ~name:"solve = solutions ~limit:1 (witness and effort)" ~count:500
+    missing_table_case (fun (f, (r_rows, s_rows)) ->
+      let module B = Solver.Backtrack in
+      let db = make_db r_rows s_rows in
+      let s1 = B.fresh_stats () and s2 = B.fresh_stats () in
+      let witness = B.solve ~stats:s1 db f in
+      let first = B.solutions ~stats:s2 ~limit:1 db f in
+      let vars = Term.Var_set.elements (Formula.vars f) in
+      let agrees = function
+        | [] -> Option.is_none witness
+        | w :: _ ->
+          (match witness with
+           | None -> false
+           | Some s ->
+             List.for_all
+               (fun v -> Term.equal (Subst.resolve s (Term.V v)) (Subst.resolve w (Term.V v)))
+               vars)
+      in
+      let effort s = B.(s.nodes, s.candidates, s.backtracks, s.propagations) in
+      List.length first <= 1 && agrees first && agrees (B.solutions db f) && effort s1 = effort s2)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_backtrack_agrees_with_brute_force;
     QCheck_alcotest.to_alcotest prop_backtrack_witness_is_model;
@@ -340,4 +390,7 @@ let suite =
     Alcotest.test_case "cache spare absorbs extension" `Quick test_cache_spare_absorbs_extension;
     Alcotest.test_case "order constraints" `Quick test_order_constraints_in_search;
     Alcotest.test_case "node limit" `Quick test_node_limit;
+    Alcotest.test_case "unknown relation backtracks once" `Quick
+      test_unknown_relation_backtracks;
+    QCheck_alcotest.to_alcotest prop_one_search_two_leaf_policies;
   ]
