@@ -257,18 +257,26 @@ let eval_term valuation = function
      | Some value -> value
      | None -> raise (Unbound v))
 
+(* A relation with no table is empty: a ground atom over it is false, and
+   its negation and key-freedom hold. *)
+let mem_tuple db rel tuple =
+  match Relational.Database.find_table db rel with
+  | Some table -> Relational.Table.mem table tuple
+  | None -> false
+
+let key_occupied db rel tuple =
+  match Relational.Database.find_table db rel with
+  | Some table ->
+    let key = Relational.Schema.key_of_tuple (Relational.Table.schema table) tuple in
+    Option.is_some (Relational.Table.find_by_key table key)
+  | None -> false
+
 let rec eval db valuation = function
   | True -> true
   | False -> false
-  | Atom a ->
-    let tuple = Array.map (eval_term valuation) a.Atom.args in
-    Relational.Database.mem_tuple db a.Atom.rel tuple
-  | Not_atom a ->
-    let tuple = Array.map (eval_term valuation) a.Atom.args in
-    not (Relational.Database.mem_tuple db a.Atom.rel tuple)
-  | Key_free a ->
-    let tuple = Array.map (eval_term valuation) a.Atom.args in
-    not (Relational.Database.key_occupied db a.Atom.rel tuple)
+  | Atom a -> mem_tuple db a.Atom.rel (Array.map (eval_term valuation) a.Atom.args)
+  | Not_atom a -> not (mem_tuple db a.Atom.rel (Array.map (eval_term valuation) a.Atom.args))
+  | Key_free a -> not (key_occupied db a.Atom.rel (Array.map (eval_term valuation) a.Atom.args))
   | Eq (a, b) -> Relational.Value.equal (eval_term valuation a) (eval_term valuation b)
   | Neq (a, b) -> not (Relational.Value.equal (eval_term valuation a) (eval_term valuation b))
   | Lt (a, b) -> Relational.Value.compare (eval_term valuation a) (eval_term valuation b) < 0

@@ -73,8 +73,8 @@ exception Unbound of Term.var
 
 val eval : Relational.Database.t -> (Term.var -> Relational.Value.t option) -> t -> bool
 (** Ground semantics under a valuation; the specification the solver is
-    tested against.  @raise Unbound on a free variable the valuation does
-    not cover. *)
+    tested against.  A relation with no table is empty.  @raise Unbound on
+    a free variable the valuation does not cover. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

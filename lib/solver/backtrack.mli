@@ -4,10 +4,13 @@
     Equivalent to the paper's LIMIT 1 compilation: an indexed
     nested-loop-join search that stops at the first valuation, with eager
     equality propagation, most-constrained-first atom selection and
-    deferred disequality / negated-atom checking.  {!solve} and
-    {!solutions} run the same search and differ only at a leaf: [solve]
-    stops at the first valuation, [solutions] records it and stops at
-    [limit]. *)
+    deferred disequality / negated-atom checking.  Propagation is
+    event-driven: a binding re-decides only the goals that mention the
+    bound variable.  {!solve} and {!solutions} run the same search and
+    differ only at a leaf: [solve] stops at the first valuation,
+    [solutions] records it and stops at [limit].  A relation with no
+    table is empty: a choice point over it has no candidates, a ground
+    atom over it is false, and its negation and key-freedom hold. *)
 
 (** Search effort, added to by every call that is passed the record.  The
     flight recorder, [Metrics] and the benchmark's per-layer [solver.*]
@@ -18,7 +21,12 @@ type stats = {
   mutable backtracks : int;
       (** choice points none of whose alternatives reached a leaf; a
           relation with no table is an empty candidate stream *)
-  mutable propagations : int;  (** ground positive atoms checked *)
+  mutable propagations : int;
+      (** positive atoms checked against their table when a binding made
+          them ground.  Goals are visited in the order bindings wake
+          them, so a conflict may be found before some other atom is
+          checked: the count depends on wake order, unlike the three
+          counters above. *)
 }
 
 val fresh_stats : unit -> stats

@@ -89,6 +89,13 @@ let solve_disjunct ?(search_depth = max_int) ?(stats = Backtrack.fresh_stats ())
   | None -> None
   | Some subst ->
     let order = Join_order.plan ~search_depth db (List.map (Subst.apply_atom subst) d.atoms) in
+    (* A negated or key-free atom holds once ground by the ground semantics
+       (where a relation with no table is empty); non-ground, it is
+       vacuously satisfiable. *)
+    let ground_holds wrap subst a =
+      let a = Subst.apply_atom subst a in
+      (not (Atom.is_ground a)) || Formula.eval db (fun _ -> None) (wrap a)
+    in
     let check_residuals subst =
       let neq_ok =
         List.for_all
@@ -108,18 +115,8 @@ let solve_disjunct ?(search_depth = max_int) ?(stats = Backtrack.fresh_stats ())
              | Formula.False -> false
              | _ -> true (* true, or non-ground: vacuously satisfiable *))
            d.cmps
-      && List.for_all
-           (fun a ->
-             let a = Subst.apply_atom subst a in
-             if Atom.is_ground a then not (Database.mem_tuple db a.Atom.rel (Atom.to_tuple a))
-             else true)
-           d.not_atoms
-      && List.for_all
-           (fun a ->
-             let a = Subst.apply_atom subst a in
-             if Atom.is_ground a then not (Database.key_occupied db a.Atom.rel (Atom.to_tuple a))
-             else true)
-           d.key_frees
+      && List.for_all (ground_holds Formula.not_atom subst) d.not_atoms
+      && List.for_all (ground_holds Formula.key_free subst) d.key_frees
     in
     let rec join subst = function
       | [] -> if check_residuals subst then Some subst else None

@@ -17,6 +17,12 @@ echo "== engine benchmark: flash_crowd at full scale =="
 # and the per-layer trace; run.sh exits non-zero on a failed check.
 bash benchmark/run.sh --workload flash_crowd --seed 1 --seconds 1 --trace 1
 
+echo "== engine benchmark: deep_k40 at full scale =="
+# deep_k40 makes the deepest grounding searches of any workload (150 seats,
+# 75 entangled pairs, k = 40).  One full-size round with every correctness
+# check on and the per-layer trace; run.sh exits non-zero on a failed check.
+bash benchmark/run.sh --workload deep_k40 --seed 1 --seconds 1 --trace 1
+
 echo "== crash-monkey smoke =="
 # 200 deterministic crash/recover cycles with fault injection; the
 # subcommand exits 1 on any recovery-invariant violation.

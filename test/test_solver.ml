@@ -338,18 +338,48 @@ let test_unknown_relation_backtracks () =
   Alcotest.(check int) "solve counts one backtrack" 1 s1.Solver.Backtrack.backtracks;
   Alcotest.(check int) "solutions counts one backtrack" 1 s2.Solver.Backtrack.backtracks
 
-(* [case], half the time with an atom over the table-less relation T
-   conjoined.  Its variable appears nowhere else, so the atom stays a
-   choice point (a ground atom over an unknown relation is a lookup
-   error, not a dead end). *)
+(* A relation with no table is empty everywhere: a ground atom over it is
+   false, its negation and key-freedom hold — in the search's propagation
+   and in [Formula.eval] alike. *)
+let test_unknown_relation_ground () =
+  let db = make_db [ (0, 1) ] [] in
+  let x = Term.fresh_var "x" in
+  let r = Formula.Atom (Atom.make "R" [ Term.V x; Term.int 1 ]) in
+  let t00 = Atom.make "T" [ Term.int 0; Term.int 0 ] in
+  let no_vars _ = None in
+  let cases =
+    [ ("ground atom", Formula.Atom t00, false);
+      ("ground negated atom", Formula.Not_atom t00, true);
+      ("ground key-free atom", Formula.Key_free t00, true);
+    ]
+  in
+  List.iter
+    (fun (name, f, holds) ->
+      Alcotest.(check bool) ("eval: " ^ name) holds (Formula.eval db no_vars f);
+      Alcotest.(check bool) ("solve: " ^ name) holds
+        (Solver.Backtrack.satisfiable db (Formula.And [ r; f ]));
+      Alcotest.(check bool) ("limit-one: " ^ name) holds
+        (Solver.Limit_one.satisfiable db (Formula.And [ r; f ])))
+    cases;
+  (* The atom becomes ground only once the search binds its variable. *)
+  let late = Formula.Not_atom (Atom.make "T" [ Term.V x; Term.int 0 ]) in
+  Alcotest.(check bool) "solve: negated atom ground by a binding" true
+    (Solver.Backtrack.satisfiable db (Formula.And [ r; late ]))
+
+(* [case], sometimes with an atom over the table-less relation T conjoined
+   and sometimes with the ground atom T(0,0).  The first atom's variable
+   appears nowhere else, so it stays a choice point over an empty
+   candidate stream; the ground atom is false, a propagation conflict. *)
 let untabled = Term.fresh_var "u"
 
 let missing_table_case =
   let gen =
     let open QCheck.Gen in
-    let* missing = bool and* f = formula_case_gen and* rows = db_gen in
+    let* choice = bool and* ground = bool and* f = formula_case_gen and* rows = db_gen in
     let t = Formula.Atom (Atom.make "T" [ Term.V untabled; Term.int 0 ]) in
-    return ((if missing then Formula.And [ f; t ] else f), rows)
+    let t00 = Formula.Atom (Atom.make "T" [ Term.int 0; Term.int 0 ]) in
+    let extra = (if choice then [ t ] else []) @ if ground then [ t00 ] else [] in
+    return (Formula.And (f :: extra), rows)
   in
   QCheck.make gen ~print:(fun (f, _) -> Formula.to_string f)
 
@@ -375,6 +405,136 @@ let prop_one_search_two_leaf_policies =
       let effort s = B.(s.nodes, s.candidates, s.backtracks, s.propagations) in
       List.length first <= 1 && agrees first && agrees (B.solutions db f) && effort s1 = effort s2)
 
+(* Formulas that drive the search's event-driven paths: variable-variable
+   equality chains inside ORs (a binding hands its watchers on to another
+   variable), OR branches that are conjunctions (a collapsed OR puts
+   several goals in its place), order comparisons, and a seed that
+   pre-binds some variables to constants or to other variables.  Every
+   variable of a comparison is anchored in the one-column table D, which
+   holds the whole universe, so comparisons are ground at every leaf. *)
+let watch_pool = Array.init 5 (fun i -> Term.fresh_var (Printf.sprintf "w%d" i))
+
+let watch_case_gen =
+  let open QCheck.Gen in
+  let var_gen = map (fun i -> watch_pool.(i)) (int_range 0 4) in
+  let const_gen = map Term.int (int_range 0 3) in
+  let term_gen = frequency [ (3, map (fun v -> Term.V v) var_gen); (1, const_gen) ] in
+  let atom_gen =
+    let* rel = oneofl [ "R"; "S" ] and* t1 = term_gen and* t2 = term_gen in
+    return (Atom.make rel [ t1; t2 ])
+  in
+  let chain_gen =
+    let* vs = list_size (int_range 2 4) var_gen in
+    let rec links = function
+      | a :: (b :: _ as rest) -> Formula.Eq (Term.V a, Term.V b) :: links rest
+      | _ -> []
+    in
+    return (Formula.And (links vs))
+  in
+  let leaf_gen =
+    frequency
+      [ (3, map (fun a -> Formula.Atom a) atom_gen);
+        (1, map (fun a -> Formula.Not_atom a) atom_gen);
+        (2, map2 (fun t1 t2 -> Formula.Eq (t1, t2)) term_gen term_gen);
+        (2, map2 (fun t1 t2 -> Formula.Neq (t1, t2)) term_gen term_gen);
+        (1, map2 (fun t1 t2 -> Formula.Lt (t1, t2)) term_gen term_gen);
+        (1, map2 (fun t1 t2 -> Formula.Le (t1, t2)) term_gen term_gen);
+        (2, chain_gen);
+      ]
+  in
+  let branch_gen =
+    frequency [ (2, leaf_gen); (3, map (fun fs -> Formula.And fs) (list_size (int_range 2 3) leaf_gen)) ]
+  in
+  let or_gen = map (fun fs -> Formula.Or fs) (list_size (int_range 2 3) branch_gen) in
+  let* leaves = list_size (int_range 1 4) leaf_gen in
+  let* ors = list_size (int_range 1 3) or_gen in
+  let f = Formula.And (leaves @ ors) in
+  let rec compared = function
+    | Formula.Lt (t1, t2) | Formula.Le (t1, t2) -> [ t1; t2 ]
+    | Formula.And fs | Formula.Or fs -> List.concat_map compared fs
+    | _ -> []
+  in
+  let anchors =
+    List.sort_uniq Term.compare (compared f)
+    |> List.filter Term.is_var
+    |> List.map (fun t -> Formula.Atom (Atom.make "D" [ t ]))
+  in
+  (* Bind a variable to a constant or to a later pool variable, so seed
+     chains are acyclic. *)
+  let binding_gen i =
+    frequency
+      ([ (4, return None); (1, map (fun t -> Some t) const_gen) ]
+      @ if i < 4 then [ (1, map (fun j -> Some (Term.V watch_pool.(j))) (int_range (i + 1) 4)) ] else [])
+  in
+  let* seed =
+    flatten_l (List.init 5 binding_gen)
+    |> map (fun bs ->
+           List.fold_left
+             (fun (i, acc) b ->
+               (i + 1, match b with Some t -> Subst.bind watch_pool.(i) t acc | None -> acc))
+             (0, Subst.empty) bs
+           |> snd)
+  in
+  return (Formula.And (f :: anchors), seed)
+
+let watch_db r_rows s_rows =
+  let db = make_db r_rows s_rows in
+  let d =
+    Database.create_table db
+      (Schema.make ~name:"D" ~columns:[ Schema.column "a" Value.Tint ] ())
+  in
+  List.iter (fun a -> ignore (Relational.Table.insert d (Tuple.of_list [ Value.Int a ]))) universe;
+  db
+
+(* The seed as constraints, so brute force and the model check see it. *)
+let with_seed f seed =
+  Formula.And (f :: List.map (fun (t1, t2) -> Formula.Eq (t1, t2)) (Subst.equations seed))
+
+let prop_event_driven_paths =
+  QCheck.Test.make ~name:"watch hand-off, splices, comparisons, seeds = brute force"
+    ~count:1000
+    (QCheck.make
+       (QCheck.Gen.pair watch_case_gen db_gen)
+       ~print:(fun ((f, seed), _) -> Formula.to_string f ^ " seed " ^ Subst.to_string seed))
+    (fun ((f, seed), (r_rows, s_rows)) ->
+      let module B = Solver.Backtrack in
+      let db = watch_db r_rows s_rows in
+      let s1 = B.fresh_stats () and s2 = B.fresh_stats () in
+      let witness = B.solve ~seed ~stats:s1 db f in
+      let first = B.solutions ~seed ~stats:s2 ~limit:1 db f in
+      let spec = with_seed f seed in
+      let effort s = B.(s.nodes, s.candidates, s.backtracks, s.propagations) in
+      let sound =
+        match witness with
+        | None -> not (brute_force_satisfiable db universe spec)
+        | Some subst ->
+          (* Variables the search left unbound get distinct values far
+             outside the database (vacuous disequalities). *)
+          let fresh = Hashtbl.create 4 in
+          let valuation v =
+            match Subst.resolve subst (Term.V v) with
+            | Term.C value -> Some value
+            | Term.V rep ->
+              (match Hashtbl.find_opt fresh rep.Term.vid with
+               | Some value -> Some value
+               | None ->
+                 let value = Value.Int (1000 + Hashtbl.length fresh) in
+                 Hashtbl.add fresh rep.Term.vid value;
+                 Some value)
+          in
+          Formula.eval db valuation spec
+      in
+      let same_first =
+        match witness, first with
+        | None, [] -> true
+        | Some w, [ w' ] ->
+          Array.for_all
+            (fun v -> Term.equal (Subst.resolve w (Term.V v)) (Subst.resolve w' (Term.V v)))
+            watch_pool
+        | _ -> false
+      in
+      sound && same_first && effort s1 = effort s2)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_backtrack_agrees_with_brute_force;
     QCheck_alcotest.to_alcotest prop_backtrack_witness_is_model;
@@ -392,5 +552,8 @@ let suite =
     Alcotest.test_case "node limit" `Quick test_node_limit;
     Alcotest.test_case "unknown relation backtracks once" `Quick
       test_unknown_relation_backtracks;
+    Alcotest.test_case "unknown relation is empty when ground" `Quick
+      test_unknown_relation_ground;
     QCheck_alcotest.to_alcotest prop_one_search_two_leaf_policies;
+    QCheck_alcotest.to_alcotest prop_event_driven_paths;
   ]
