@@ -84,21 +84,6 @@ module Micro = struct
   let replay_batches = 512
   let replay_records = 1 + (3 * replay_batches)
 
-  (* CDCL unit-propagation micro: a 4096-long implication chain solved
-     under one assumption — every run pays exactly [sat_chain_len]
-     propagations on a warm persistent solver, so ns/run divided by the
-     chain length is the watched-literal propagation cost per literal. *)
-  let sat_chain_len = 4096
-
-  let sat_chain =
-    lazy
-      (let s = Sat.Cdcl.create () in
-       let v = Array.init (sat_chain_len + 1) (fun _ -> Sat.Cdcl.new_var s) in
-       for i = 0 to sat_chain_len - 1 do
-         Sat.Cdcl.add_clause s [| -v.(i); v.(i + 1) |]
-       done;
-       (s, v.(0)))
-
   let replay_backend () =
     let module Wal = Relational.Wal in
     let backend = Wal.mem_backend () in
@@ -135,10 +120,6 @@ module Micro = struct
              ignore
                (Seq.fold_left (fun n _ -> n + 1) 0
                   (Relational.Table.lookup_seq table [| None; None |]))));
-      Test.make ~name:"sat/propagate"
-        (Staged.stage (fun () ->
-             let s, first = Lazy.force sat_chain in
-             ignore (Sat.Cdcl.solve ~assumptions:[ first ] s)));
       Test.make ~name:"wal/replay"
         (Staged.stage (fun () ->
              (* Full recovery of a 512-batch log: decode + checksum +
@@ -226,15 +207,6 @@ let () =
     let dir = Option.value !Common.csv_dir ~default:"results" in
     ignore (Admission.write ~path:(Filename.concat dir "BENCH_admission.json") r)
   end;
-  (* SAT-backend sweep (backtracking vs CDCL on a session reset per
-     admission vs incremental CDCL), opt-in: outcome traces are
-     cross-checked across the backends before recording. *)
-  if List.mem "sat" only then begin
-    let r = Harness.Sat_bench.run () in
-    Harness.Sat_bench.print r;
-    let dir = Option.value !Common.csv_dir ~default:"results" in
-    ignore (Harness.Sat_bench.write ~path:(Filename.concat dir "BENCH_sat.json") r)
-  end;
   let micro_estimates = if wanted only "micro" then Micro.run () else [] in
   (* Telemetry export: every quantum run above merged its engine metrics
      into the workload runner's sink; snapshot it — plus any micro-bench
@@ -251,10 +223,7 @@ let () =
           (ns /. float_of_int (Lazy.force Micro.enumerate_count));
       if name = "core/compose/20-txn-body" then
         Obs.Registry.set_gauge registry "bench.micro.compose.ns_per_clause"
-          (ns /. float_of_int (Lazy.force Micro.compose_clause_count));
-      if name = "core/sat/propagate" then
-        Obs.Registry.set_gauge registry "bench.micro.sat.propagate.ns_per_literal"
-          (ns /. float_of_int Micro.sat_chain_len))
+          (ns /. float_of_int (Lazy.force Micro.compose_clause_count)))
     micro_estimates;
   ignore (Common.write_metrics registry);
   Printf.printf "\nAll benches complete.\n"

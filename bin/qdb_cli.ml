@@ -714,12 +714,7 @@ let load_cmd =
        zero error responses, mean group-commit batch size > 1 (the
        queue must actually group), accept/reject p50/p99/p999 splits
        present, and the accept-p99 admission latency must not exceed
-       the baseline's by more than PCT percent;
-     qdb.bench.sat/v2 — cdcl ns/admission at k=40 and k=160 must not
-       exceed the baseline's by more than PCT percent, the incremental
-       CDCL session must stay >= 3x over the from-scratch session
-       (cdcl_fresh) at k=40, and at k=160 it must solve natively (zero
-       fallbacks, real conflicts).
+       the baseline's by more than PCT percent.
 
    Exits 1 with a FAIL line on any violation, 0 with OK lines otherwise. *)
 
@@ -884,36 +879,6 @@ let scaling_v4_pins baseline current =
      contended outcomes match at %d point(s)\n"
     n m
 
-(* Sat v2: one sparse-series point by backend mode and pending depth. *)
-let sat_point label ~mode ~k j =
-  match
-    List.find_opt
-      (fun p ->
-        Option.bind (Json.member "mode" p) Json.to_str = Some mode
-        && Option.bind (Json.member "k" p) Json.to_number = Some (float_of_int k)
-        && Option.bind (Json.member "dense" p) (function
-             | Json.Bool d -> Some (not d)
-             | _ -> None)
-           = Some true)
-      (jseries label j)
-  with
-  | Some p -> p
-  | None -> bench_fail "%s: no sparse %s point at k=%d" label mode k
-
-let sat_speedup_vs_fresh label ~k j =
-  let points =
-    match Json.member "speedup_cdcl_vs_fresh" j with
-    | Some (Json.List l) -> l
-    | _ -> bench_fail "%s: missing \"speedup_cdcl_vs_fresh\" array" label
-  in
-  match
-    List.find_opt
-      (fun p -> Option.bind (Json.member "k" p) Json.to_number = Some (float_of_int k))
-      points
-  with
-  | Some p -> jnum label "x" p
-  | None -> bench_fail "%s: no k=%d speedup point" label k
-
 let run_bench_diff baseline_path current_path gate =
   let baseline = bench_load "baseline" baseline_path in
   let current = bench_load "current" current_path in
@@ -1076,31 +1041,6 @@ let run_bench_diff baseline_path current_path gate =
      check_ratio "accept p99 admission latency (us)"
        (jnum "baseline" "p99" (split "baseline" baseline "accept"))
        (jnum "current" "p99" (split "current" current "accept"))
-   | "qdb.bench.sat/v2" ->
-     (* The CDCL claims, pinned: no slowdown on the incremental-session
-        cost at the shallow and deep ends; the incremental session must
-        beat the same solver reset per admission (cdcl_fresh) >= 3x at
-        k=40; and at k=160 it must solve every admission natively (zero
-        search-solver fallbacks, with real conflict work). *)
-     List.iter
-       (fun k ->
-         check_ratio
-           (Printf.sprintf "k=%d cdcl ns/admission" k)
-           (jnum "baseline" "ns_per_admission" (sat_point "baseline" ~mode:"cdcl" ~k baseline))
-           (jnum "current" "ns_per_admission" (sat_point "current" ~mode:"cdcl" ~k current)))
-       [ 40; 160 ];
-     let speedup = sat_speedup_vs_fresh "current" ~k:40 current in
-     if speedup < 3.0 then
-       bench_fail "k=40 cdcl speedup over cdcl_fresh %.2fx below the 3x floor" speedup;
-     Printf.printf "OK: k=40 cdcl speedup over cdcl_fresh %.2fx (floor 3x)\n" speedup;
-     let cdcl160 = sat_point "current" ~mode:"cdcl" ~k:160 current in
-     if jnum "current" "fallbacks" cdcl160 > 0. then
-       bench_fail "k=160 cdcl fell back to the search solver %d times (must be native)"
-         (int_of_float (jnum "current" "fallbacks" cdcl160));
-     if jnum "current" "conflicts" cdcl160 <= 0. then
-       bench_fail "k=160 cdcl recorded no conflicts — the session did no real solving";
-     Printf.printf "OK: k=160 cdcl native (0 fallbacks, %d conflicts)\n"
-       (int_of_float (jnum "current" "conflicts" cdcl160))
    | other -> bench_fail "unsupported schema %S" other);
   Printf.printf "bench diff: %s within %.0f%% of %s\n%!" current_path gate baseline_path
 

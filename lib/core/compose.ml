@@ -248,8 +248,6 @@ module Inc = struct
 
   let clause_count t = t.clauses
 
-  let chunks t = List.rev t.chunks_rev
-
   (* Conjunction of independent partitions' bodies; chunk order follows
      the given partition order, matching the eager [Formula.and_] merge
      this replaces. *)

@@ -75,10 +75,6 @@ module Inc : sig
   (** Top-level conjunct count — the [qdb.partition.composed_clauses]
       observability gauge. *)
 
-  val chunks : t -> Logic.Formula.t list
-  (** Per-transaction chunks, oldest first — the delta units the
-      incremental SAT session ({!Sat.Inc}) encodes and gates. *)
-
   val merge : t list -> t
   (** Concatenate partitions' chunk lists (their bodies share no
       variables, so conjunction in partition order is the merged body). *)

@@ -22,16 +22,6 @@ type t = {
   mutable governor_degraded_full_solve : int; (* incremental → full-recompose fallbacks *)
   mutable governor_exhaustions : int; (* every budget blowup the ladder absorbed *)
   mutable refill_failures : int; (* cache-refill rounds abandoned on a job failure *)
-  (* CDCL SAT-backend session counters, synced from the engine's
-     session after every SAT admission check (cumulative across session
-     rebuilds and the from-scratch ablation's per-check resets). *)
-  mutable sat_conflicts : int;
-  mutable sat_learned : int;
-  mutable sat_restarts : int;
-  mutable sat_propagations : int;
-  mutable sat_fallbacks : int;
-      (* SAT-backend checks that fell back to the search solver (body not
-         SAT-encodable or over the session's encoding budget) *)
   submit_latency : Obs.Histogram.t; (* seconds, one observation per submit *)
   accept_latency : Obs.Histogram.t; (* submit latency split by outcome... *)
   reject_latency : Obs.Histogram.t;
@@ -58,11 +48,6 @@ let create () =
     governor_degraded_full_solve = 0;
     governor_exhaustions = 0;
     refill_failures = 0;
-    sat_conflicts = 0;
-    sat_learned = 0;
-    sat_restarts = 0;
-    sat_propagations = 0;
-    sat_fallbacks = 0;
     submit_latency = Obs.Histogram.create ();
     accept_latency = Obs.Histogram.create ();
     reject_latency = Obs.Histogram.create ();
@@ -88,11 +73,6 @@ let reset m =
   m.governor_degraded_full_solve <- 0;
   m.governor_exhaustions <- 0;
   m.refill_failures <- 0;
-  m.sat_conflicts <- 0;
-  m.sat_learned <- 0;
-  m.sat_restarts <- 0;
-  m.sat_propagations <- 0;
-  m.sat_fallbacks <- 0;
   Obs.Histogram.reset m.submit_latency;
   Obs.Histogram.reset m.accept_latency;
   Obs.Histogram.reset m.reject_latency;
@@ -126,8 +106,7 @@ let pp fmt m =
      governor: retries=%d degraded_full=%d exhaustions=%d refill_failures=%d@,\
      t_submit=%.3fs t_ground=%.3fs t_read=%.3fs@,\
      cache: ext=%d hit=%d full=%d inval=%d@,\
-     solver: nodes=%d cand=%d back=%d@,\
-     sat: conflicts=%d learned=%d restarts=%d props=%d fallbacks=%d@]"
+     solver: nodes=%d cand=%d back=%d@]"
     m.submitted m.committed m.rejected m.overloaded m.grounded m.forced_groundings m.reads
     m.writes m.writes_rejected m.partition_merges m.governor_retries
     m.governor_degraded_full_solve m.governor_exhaustions m.refill_failures (time_submit m)
@@ -135,8 +114,7 @@ let pp fmt m =
     m.cache_stats.Solver.Cache.extensions m.cache_stats.Solver.Cache.extension_hits
     m.cache_stats.Solver.Cache.full_solves m.cache_stats.Solver.Cache.invalidations
     m.solver_stats.Solver.Backtrack.nodes m.solver_stats.Solver.Backtrack.candidates
-    m.solver_stats.Solver.Backtrack.backtracks m.sat_conflicts m.sat_learned m.sat_restarts
-    m.sat_propagations m.sat_fallbacks
+    m.solver_stats.Solver.Backtrack.backtracks
 
 (* Fold another engine's metrics into [into] — the harness aggregates the
    per-run engines it creates into one sink for telemetry export. *)
@@ -156,11 +134,6 @@ let merge ~into m =
     into.governor_degraded_full_solve + m.governor_degraded_full_solve;
   into.governor_exhaustions <- into.governor_exhaustions + m.governor_exhaustions;
   into.refill_failures <- into.refill_failures + m.refill_failures;
-  into.sat_conflicts <- into.sat_conflicts + m.sat_conflicts;
-  into.sat_learned <- into.sat_learned + m.sat_learned;
-  into.sat_restarts <- into.sat_restarts + m.sat_restarts;
-  into.sat_propagations <- into.sat_propagations + m.sat_propagations;
-  into.sat_fallbacks <- into.sat_fallbacks + m.sat_fallbacks;
   Obs.Histogram.merge ~into:into.submit_latency m.submit_latency;
   Obs.Histogram.merge ~into:into.accept_latency m.accept_latency;
   Obs.Histogram.merge ~into:into.reject_latency m.reject_latency;
@@ -204,11 +177,6 @@ let snapshot m =
   c "solver.candidates" m.solver_stats.Solver.Backtrack.candidates;
   c "solver.backtracks" m.solver_stats.Solver.Backtrack.backtracks;
   c "solver.propagations" m.solver_stats.Solver.Backtrack.propagations;
-  c "sat.conflicts" m.sat_conflicts;
-  c "sat.learned" m.sat_learned;
-  c "sat.restarts" m.sat_restarts;
-  c "sat.propagations" m.sat_propagations;
-  c "sat.fallbacks" m.sat_fallbacks;
   Obs.Registry.set_histogram reg "qdb.submit.latency" m.submit_latency;
   Obs.Registry.set_histogram reg "qdb.submit.accept_latency" m.accept_latency;
   Obs.Registry.set_histogram reg "qdb.submit.reject_latency" m.reject_latency;

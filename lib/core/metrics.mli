@@ -24,14 +24,6 @@ type t = {
       (** every budget blowup the ladder absorbed, wherever it was caught *)
   mutable refill_failures : int;
       (** cache-refill rounds abandoned after a job failure *)
-  mutable sat_conflicts : int;
-      (** CDCL session counters, synced after every SAT admission check
-          (cumulative across session rebuilds) *)
-  mutable sat_learned : int;
-  mutable sat_restarts : int;
-  mutable sat_propagations : int;
-  mutable sat_fallbacks : int;
-      (** SAT-backend checks that fell back to the search solver *)
   submit_latency : Obs.Histogram.t;  (** seconds, one observation per submit *)
   accept_latency : Obs.Histogram.t;  (** submit latency split by outcome... *)
   reject_latency : Obs.Histogram.t;

@@ -101,13 +101,11 @@ type t = {
   solver_stats : Solver.Backtrack.stats option; (* shared with partition caches *)
   (* recomposition settings, mirrored from the engine config *)
   key_of : Compose.key_resolver;
-  check_inserts : bool;
   cache_capacity : int;
 }
 
 let create ?(cache_stats = Solver.Cache.fresh_stats ()) ?solver_stats
-    ?(key_of = Compose.whole_tuple_key) ?(check_inserts = true)
-    ?(cache_capacity = Solver.Cache.default_capacity) () =
+    ?(key_of = Compose.whole_tuple_key) ?(cache_capacity = Solver.Cache.default_capacity) () =
   {
     partitions = [];
     next_pid = 0;
@@ -118,7 +116,6 @@ let create ?(cache_stats = Solver.Cache.fresh_stats ()) ?solver_stats
     cache_stats;
     solver_stats;
     key_of;
-    check_inserts;
     cache_capacity;
   }
 
@@ -369,7 +366,7 @@ let resplit t p =
   List.map
     (fun group ->
       let txns = List.sort (fun a b -> Int.compare a.Rtxn.id b.Rtxn.id) group in
-      let body = Compose.Inc.compose ~check_inserts:t.check_inserts ~key_of:t.key_of txns in
+      let body = Compose.Inc.compose ~key_of:t.key_of txns in
       let q = fresh_partition t txns body in
       (match witness with
        | Some w ->

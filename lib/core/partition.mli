@@ -33,7 +33,6 @@ val create :
   ?cache_stats:Solver.Cache.stats ->
   ?solver_stats:Solver.Backtrack.stats ->
   ?key_of:Compose.key_resolver ->
-  ?check_inserts:bool ->
   ?cache_capacity:int ->
   unit ->
   t

@@ -43,14 +43,12 @@ type read_policy =
 type solver_backend =
   | Backtracking (* dynamic-order search with solution cache (default) *)
   | Limit_one_plan of int (* static plans with bounded optimizer lookahead *)
-  | Sat_backend (* incremental CDCL over per-transaction CNF chunks (Section 6) *)
 
 type config = {
   k : int; (* max pending transactions per partition *)
   serializability : serializability;
   read_policy : read_policy;
   backend : solver_backend;
-  check_inserts : bool;
   node_limit : int;
   adaptive : bool; (* phase-transition-aware forced grounding *)
   adaptive_slack : float; (* min resources-per-pending-delete before fixing *)
@@ -73,7 +71,6 @@ let default_config =
     serializability = Semantic;
     read_policy = Collapse;
     backend = Backtracking;
-    check_inserts = true;
     node_limit = Solver.Backtrack.default_node_limit;
     adaptive = false;
     adaptive_slack = 1.5;
@@ -102,10 +99,6 @@ type t = {
      round.  [None] in production. *)
   mutable fault_injector : (kind:string -> fanout:int -> job:int -> unit) option;
   mutable fanout_seq : int;
-  (* Incremental CDCL session for the SAT backend, created on first use:
-     one per engine, so encoded chunks and learned clauses survive across
-     admissions instead of re-encoding the composed body from scratch. *)
-  mutable sat_session : Sat.Inc.t option;
 }
 
 type commit_result =
@@ -179,13 +172,12 @@ let create ?(config = default_config) store =
     parts =
       Partition.create ~cache_stats:metrics.Metrics.cache_stats
         ~solver_stats:metrics.Metrics.solver_stats ~key_of:(key_resolver store)
-        ~check_inserts:config.check_inserts ~cache_capacity:config.cache_capacity ();
+        ~cache_capacity:config.cache_capacity ();
     config;
     metrics;
     next_id = 0;
     fault_injector = None;
     fanout_seq = 0;
-    sat_session = None;
   }
 
 (* Chaos hook for one round of [jobs] partition jobs: with an injector
@@ -219,33 +211,6 @@ type check_verdict =
   | Check_unsat
   | Check_overload of string
 
-(* Conflict budget for the CDCL backend, derived from the same node
-   budget the governor escalates for the search solver: one conflict
-   (propagate-analyze-learn-backjump) is worth roughly 64 search nodes of
-   work, floored so even a squeezed budget lets the solver move. *)
-let sat_conflict_limit node_limit =
-  if node_limit >= max_int / 64 then max_int else max 16 (node_limit / 64)
-
-let sat_session t =
-  match t.sat_session with
-  | Some s -> s
-  | None ->
-    let s = Sat.Inc.create () in
-    t.sat_session <- Some s;
-    s
-
-(* Mirror the session's cumulative counters into the engine metrics after
-   every SAT check (absolute copy: one session per engine). *)
-let sync_sat_metrics t =
-  match t.sat_session with
-  | None -> ()
-  | Some s ->
-    let st = Sat.Inc.stats s in
-    t.metrics.Metrics.sat_conflicts <- st.Sat.Cdcl.conflicts;
-    t.metrics.Metrics.sat_learned <- st.Sat.Cdcl.learned;
-    t.metrics.Metrics.sat_restarts <- st.Sat.Cdcl.restarts;
-    t.metrics.Metrics.sat_propagations <- st.Sat.Cdcl.propagations
-
 (* Admission check through the configured backend, under the governor's
    budget and degradation ladder.  The backtracking backend goes through
    the partition's solution cache: each cached witness is tried as a seed
@@ -253,21 +218,18 @@ let sync_sat_metrics t =
    transactions stay pinned), and only when every extension fails does it
    force [full_formula] for an unseeded re-solve — so acceptance
    decisions match the from-scratch path exactly, while extension hits
-   never flatten the whole body.  The SAT backend keeps a persistent CDCL
-   session: per-transaction chunks are encoded once and solved under
-   activation literals, so learned clauses survive across admissions and
-   the hot path touches neither the flattened body nor a fresh encoding
-   (the non-incremental configuration resets the session per check: the
-   from-scratch ablation).
+   never flatten the whole body.
 
    On exhaustion the ladder climbs: bounded escalated retries of the
    incremental solve (deterministic jittered backoff between rungs),
    then one degraded full-recompose solve at the next escalation rung,
-   then [Check_overload] — nothing is mutated along the way. *)
-let check_admission t (p : Partition.partition) ~gov ~salt ~txn ~new_clauses ~full_formula =
+   then [Check_overload] — nothing is mutated along the way.  The LIMIT-1
+   ablation gets one solve at the first rung's budget and no ladder. *)
+let check_admission t (p : Partition.partition) ~gov ~salt ~new_clauses ~full_formula =
   let database = db t in
   let charge = Governor.arm gov in
   let deadline_ns = Governor.deadline charge in
+  let node_budget retry = Governor.node_budget charge ~default_limit:t.config.node_limit ~retry in
   let exhausted reason =
     t.metrics.Metrics.governor_exhaustions <- t.metrics.Metrics.governor_exhaustions + 1;
     if Obs.Trace.on () then
@@ -280,106 +242,57 @@ let check_admission t (p : Partition.partition) ~gov ~salt ~txn ~new_clauses ~fu
     Solver.Cache.solve_full ~node_limit ?deadline_ns p.Partition.cache database
       (Lazy.force full_formula)
   in
-  (* Generic governor ladder: [attempt retry] is one bounded solve through
-     some backend, [None] meaning the backend cannot represent the body —
-     the climb aborts and the caller picks a fallback.  The degraded rung
-     is always an unseeded full-recompose search solve, the engine's
-     completeness escape hatch whatever backend exhausted. *)
-  let climb attempt =
-    let rec go retry =
-      match attempt retry with
-      | None -> None
-      | Some (Solver.Cache.Sat w) -> Some (Check_sat w)
-      | Some Solver.Cache.Unsat -> Some Check_unsat
-      | Some (Solver.Cache.Exhausted reason) ->
-        let reason = exhausted reason in
-        if Governor.expired charge then Some (Check_overload reason)
-        else if retry < Governor.max_retries charge then begin
-          t.metrics.Metrics.governor_retries <- t.metrics.Metrics.governor_retries + 1;
-          Governor.backoff charge ~salt ~retry;
-          go (retry + 1)
-        end
-        else begin
-          (* Last rung before refusing: one unseeded full-recompose solve
-             with a further-escalated budget.  For the non-incremental
-             search ablation this is just one more escalation of the same
-             solve. *)
-          t.metrics.Metrics.governor_degraded_full_solve <-
-            t.metrics.Metrics.governor_degraded_full_solve + 1;
-          let node_limit =
-            Governor.node_budget charge ~default_limit:t.config.node_limit ~retry:(retry + 1)
-          in
-          Some
-            (match full_solve ~node_limit () with
-            | Solver.Cache.Sat w -> Check_sat w
-            | Solver.Cache.Unsat -> Check_unsat
-            | Solver.Cache.Exhausted reason -> Check_overload (exhausted reason))
-        end
-    in
-    go 0
-  in
-  let ladder ~incremental =
+  let rec climb retry =
+    let node_limit = node_budget retry in
     match
-      climb (fun retry ->
-          let node_limit =
-            Governor.node_budget charge ~default_limit:t.config.node_limit ~retry
-          in
-          Some
-            (if incremental then
-               Solver.Cache.try_extend ~node_limit ?deadline_ns p.Partition.cache database
-                 ~new_clauses ~full_formula
-             else full_solve ~node_limit ()))
+      if t.config.incremental then
+        Solver.Cache.try_extend ~node_limit ?deadline_ns p.Partition.cache database
+          ~new_clauses ~full_formula
+      else full_solve ~node_limit ()
     with
-    | Some verdict -> verdict
-    | None -> assert false (* search attempts are total *)
+    | Solver.Cache.Sat w -> Check_sat w
+    | Solver.Cache.Unsat -> Check_unsat
+    | Solver.Cache.Exhausted reason ->
+      let reason = exhausted reason in
+      if Governor.expired charge then Check_overload reason
+      else if retry < Governor.max_retries charge then begin
+        t.metrics.Metrics.governor_retries <- t.metrics.Metrics.governor_retries + 1;
+        Governor.backoff charge ~salt ~retry;
+        climb (retry + 1)
+      end
+      else begin
+        (* Last rung before refusing: one unseeded full-recompose solve
+           with a further-escalated budget.  For the non-incremental
+           ablation this is just one more escalation of the same solve. *)
+        t.metrics.Metrics.governor_degraded_full_solve <-
+          t.metrics.Metrics.governor_degraded_full_solve + 1;
+        match full_solve ~node_limit:(node_budget (retry + 1)) () with
+        | Solver.Cache.Sat w -> Check_sat w
+        | Solver.Cache.Unsat -> Check_unsat
+        | Solver.Cache.Exhausted reason -> Check_overload (exhausted reason)
+      end
   in
   (* Ladder orchestration is its own flight phase; the solves inside
      account themselves (exclusively) as cache/solve time. *)
   Obs.Flight.time Obs.Flight.Governor @@ fun () ->
   match t.config.backend with
-  | Backtracking when not t.config.incremental -> ladder ~incremental:false
-  | Backtracking -> ladder ~incremental:true
+  | Backtracking -> climb 0
   | Limit_one_plan depth ->
     (match
        Obs.Flight.time Obs.Flight.Solve (fun () ->
-           Solver.Limit_one.solve ~search_depth:depth database (Lazy.force full_formula))
+           Solver.Limit_one.solve ~search_depth:depth ~node_limit:(node_budget 0) ?deadline_ns
+             database (Lazy.force full_formula))
      with
      | Some w ->
        Solver.Cache.set_witness p.Partition.cache w;
        Check_sat w
-     | None -> Check_unsat)
-  | Sat_backend ->
-    (* Incremental CDCL: the engine-wide session already holds the prior
-       transactions' chunks; only the new chunk is encoded, and the solve
-       runs under the live chunks' activation literals with every learned
-       clause from earlier admissions still in force.  The from-scratch
-       ablation resets the session first, so every check re-encodes the
-       whole body into an empty solver. *)
-    let session = sat_session t in
-    if not t.config.incremental then Sat.Inc.reset session;
-    let chunks = Compose.Inc.chunks p.Partition.body @ [ new_clauses ] in
-    let live_vars =
-      List.fold_left
-        (fun acc tx -> Term.Var_set.union acc (Rtxn.all_vars tx))
-        (Rtxn.all_vars txn) p.Partition.txns
-    in
-    let verdict =
-      climb (fun retry ->
-          let node_limit =
-            Governor.node_budget charge ~default_limit:t.config.node_limit ~retry
-          in
-          Solver.Cache.check_sat ~conflict_limit:(sat_conflict_limit node_limit) ?deadline_ns
-            p.Partition.cache session database ~chunks ~live_vars)
-    in
-    sync_sat_metrics t;
-    (match verdict with
-     | Some v -> v
-     | None ->
-       (* Not SAT-encodable (negative atoms, order constraints, oversized
-          equality theory, encode budget): fall back to search so
-          admission stays complete. *)
-       t.metrics.Metrics.sat_fallbacks <- t.metrics.Metrics.sat_fallbacks + 1;
-       ladder ~incremental:true)
+     | None -> Check_unsat
+     | exception Solver.Backtrack.Too_many_nodes ->
+       Check_overload (exhausted "solver node budget exhausted")
+     | exception Solver.Backtrack.Timed_out ->
+       Check_overload (exhausted "admission deadline exceeded")
+     | exception Solver.Limit_one.Formula_too_large ->
+       Check_overload (exhausted "composed body too large for LIMIT-1 expansion"))
 
 (* -- Grounding (Section 3.2.3) -------------------------------------------- *)
 
@@ -448,8 +361,7 @@ let ground_partition_body t (p : Partition.partition) target_ids =
       let reordered = targets @ others in
       let reordered_body =
         Obs.Flight.time Obs.Flight.Compose (fun () ->
-            Compose.body_of_sequence ~check_inserts:t.config.check_inserts
-              ~key_of:(key_resolver t.store) reordered)
+            Compose.body_of_sequence ~key_of:(key_resolver t.store) reordered)
       in
       let sat seed =
         Obs.Flight.time Obs.Flight.Solve (fun () ->
@@ -485,8 +397,7 @@ let ground_partition_body t (p : Partition.partition) target_ids =
       | Some f -> f
       | None ->
         Obs.Flight.time Obs.Flight.Compose (fun () ->
-            Compose.body_of_sequence ~check_inserts:t.config.check_inserts
-              ~key_of:(key_resolver t.store) sequence)
+            Compose.body_of_sequence ~key_of:(key_resolver t.store) sequence)
     in
     let soft = soft_units sequence grounded_txns in
     let soft_formulas = List.map snd soft in
@@ -823,8 +734,7 @@ let rec prepare_admission t txn ~gov ~attempts =
     Obs.Flight.note_chunks_reused (List.length prior);
     let new_clauses =
       Obs.Flight.time Obs.Flight.Compose (fun () ->
-          Compose.Inc.delta ~check_inserts:t.config.check_inserts
-            ~key_of:(key_resolver t.store) prior txn)
+          Compose.Inc.delta ~key_of:(key_resolver t.store) prior txn)
     in
     let full_formula =
       if t.config.incremental then
@@ -834,10 +744,9 @@ let rec prepare_admission t txn ~gov ~attempts =
       else
         lazy
           (Obs.Flight.time Obs.Flight.Compose (fun () ->
-               Compose.body_of_sequence ~check_inserts:t.config.check_inserts
-                 ~key_of:(key_resolver t.store) (prior @ [ txn ])))
+               Compose.body_of_sequence ~key_of:(key_resolver t.store) (prior @ [ txn ])))
     in
-    match check_admission t p ~gov ~salt:txn.Rtxn.id ~txn ~new_clauses ~full_formula with
+    match check_admission t p ~gov ~salt:txn.Rtxn.id ~new_clauses ~full_formula with
     | Check_sat _ ->
       Admission_prepared { prep_p = p; prep_txn = txn; prep_new_clauses = new_clauses }
     | Check_unsat ->
@@ -1207,12 +1116,6 @@ let registry t =
         (Printf.sprintf "qdb.partition.%d.composed_clauses" p.Partition.pid)
         (float_of_int (Partition.composed_clauses p)))
     (Partition.partitions t.parts);
-  (match t.sat_session with
-   | None -> ()
-   | Some s ->
-     Obs.Registry.set_gauge reg "sat.session.live_clauses"
-       (float_of_int (Sat.Inc.live_clauses s));
-     Obs.Registry.set_gauge reg "sat.session.resets" (float_of_int (Sat.Inc.resets s)));
   let ws = Store.wal_stats t.store in
   Obs.Registry.set_counter reg "wal.records" ws.Relational.Wal.records;
   Obs.Registry.set_counter reg "wal.batches" ws.Relational.Wal.batches;
@@ -1245,10 +1148,7 @@ let invariant_holds t =
       let sat ?seed f =
         Solver.Backtrack.satisfiable ?seed ~node_limit:t.config.node_limit (db t) f
       in
-      let scratch =
-        Compose.body_of_sequence ~check_inserts:t.config.check_inserts
-          ~key_of:(key_resolver t.store) p.Partition.txns
-      in
+      let scratch = Compose.body_of_sequence ~key_of:(key_resolver t.store) p.Partition.txns in
       sat scratch
       && sat (Partition.formula p)
       && List.for_all (fun w -> sat ~seed:w scratch) (Solver.Cache.witnesses p.Partition.cache))
@@ -1260,11 +1160,6 @@ let invariant_holds t =
    every recorded transaction, then recompose partitions in admission
    order without re-running admission checks (they held before the crash
    and the extensional state is exactly the pre-crash committed state). *)
-let sat_session_resets t =
-  match t.sat_session with
-  | Some s -> Sat.Inc.resets s
-  | None -> 0
-
 let recovery_report t = Store.recovery_report t.store
 
 let recover ?(config = default_config) ?strict backend =
@@ -1289,10 +1184,7 @@ let recover ?(config = default_config) ?strict backend =
       let prior, merged_body = Partition.merged_view dependent in
       let witness = Partition.merge_witnesses dependent in
       let p = Partition.replace t.parts dependent prior merged_body witness in
-      let new_clauses =
-        Compose.Inc.delta ~check_inserts:config.check_inserts ~key_of:(key_resolver store)
-          prior txn
-      in
+      let new_clauses = Compose.Inc.delta ~key_of:(key_resolver store) prior txn in
       let full_formula =
         lazy (Formula.and_ [ Compose.Inc.formula merged_body; new_clauses ])
       in

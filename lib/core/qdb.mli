@@ -16,27 +16,17 @@ type read_policy =
 
 type solver_backend =
   | Backtracking  (** dynamic-order search + solution cache (default) *)
-  | Limit_one_plan of int  (** static plans, bounded optimizer lookahead *)
-  | Sat_backend
-      (** CNF admission backend (Section 6 offloading).  With
-          [config.incremental] (the default) this is a first-class
-          incremental CDCL backend: per-transaction chunks are encoded
-          once into a persistent engine-wide session and solved under
-          activation-literal assumptions, so learned clauses survive
-          across admissions.  With [incremental = false] it is the
-          from-scratch ablation: the same session is reset before every
-          admission check, so each check is CDCL on an empty solver (and
-          the [sat.session.resets] gauge counts one reset per
-          admission).  Bodies the encoder cannot express (negative atoms, order constraints, oversized
-          equality classes) fall back to the search solver, so admission
-          outcomes are identical to {!Backtracking} in every case. *)
+  | Limit_one_plan of int
+      (** static plans, bounded optimizer lookahead: the paper prototype's
+          LIMIT-1 ablation.  One solve per admission at the governor's
+          first-rung node budget and deadline, no degradation ladder; an
+          exhausted budget or an oversized DNF expansion is {!Overloaded}. *)
 
 type config = {
   k : int;  (** max pending transactions per partition (prototype: 61) *)
   serializability : serializability;
   read_policy : read_policy;
   backend : solver_backend;
-  check_inserts : bool;  (** emit insert key-safety clauses *)
   node_limit : int;
   adaptive : bool;  (** phase-transition-aware pre-emptive grounding *)
   adaptive_slack : float;
@@ -114,12 +104,6 @@ val composed_clause_total : t -> int
 (** Sum of the partitions' composed-body clause counts, read off the
     incremental chunk caches (also exported as the
     [qdb.partition.composed_clauses] gauge). *)
-
-val sat_session_resets : t -> int
-(** How many times the SAT backend's session was reset: clause-budget
-    rebuilds, plus one per admission check when [config.incremental] is
-    false (0 when the backend never ran; also the [sat.session.resets]
-    gauge). *)
 
 val submit : ?governor:Governor.t -> t -> Rtxn.t -> commit_result
 (** Admission check (Section 3.2.1): freshen, merge dependent partitions,

@@ -2,8 +2,7 @@
 
    - solver backend: dynamic backtracking vs the statically-planned
      LIMIT-1 path (at several optimizer lookahead depths, reproducing the
-     paper's `optimizer_search_depth` discussion) vs the SAT backend of
-     Section 6;
+     paper's `optimizer_search_depth` discussion);
    - serializability: Strict vs Semantic grounding;
    - the solution cache: extension hit rate and the cost of disabling it
      (approximated by the full-resolve backend path);
@@ -33,14 +32,13 @@ let run_backend_ablation scale =
       ("limit-1 depth=1", Qdb.Limit_one_plan 1);
       ("limit-1 depth=3", Qdb.Limit_one_plan 3);
       ("limit-1 exhaustive", Qdb.Limit_one_plan max_int);
-      ("sat (cdcl)", Qdb.Sat_backend);
     ]
   in
   let header = [ "backend"; "total time"; "coordination" ] in
   let rows =
     List.map
       (fun (name, backend) ->
-        let config = { Qdb.default_config with backend; check_inserts = backend <> Qdb.Sat_backend } in
+        let config = { Qdb.default_config with backend } in
         let outcomes =
           List.map
             (fun seed -> Runner.run (Runner.Quantum_engine config) (small_spec scale seed))
@@ -54,7 +52,7 @@ let run_backend_ablation scale =
   print_table ~header rows;
   Printf.printf
     "(expected: backtracking+cache fastest; limit-1 degrades as lookahead\n\
-    \ shrinks — the paper's bad-query-plan anomaly; SAT correct but costly)\n";
+    \ shrinks — the paper's bad-query-plan anomaly)\n";
   rows
 
 let run_serializability_ablation scale =

@@ -430,7 +430,10 @@ let replay_report ?(strict = false) t =
   @@ fun () ->
   let db = ref (Database.create ()) in
   let pending = ref None in
-  let expected_seq = ref None in
+  (* Every segment starts at seq 0 (a fresh log and a checkpoint's
+     rewritten segment alike, and the first v2 line after a legacy v1
+     prefix), so a lost head record is damage like any other gap. *)
+  let expected_seq = ref (Some 0) in
   let seq_hwm = ref None in (* highest v2 seq among processed records *)
   let kept = ref 0 in (* records up to the last stable point *)
   let kept_seq = ref None in (* seq high-water mark at the last stable point *)

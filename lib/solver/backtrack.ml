@@ -16,8 +16,8 @@
      vacuously satisfiable because the value universe is unbounded and the
      remaining variables are otherwise unconstrained.
 
-   Propagation is event-driven, in the style of the watch lists in
-   [Sat.Cdcl].  Each call keeps its goals in numbered slots and a watch
+   Propagation is event-driven, in the style of a CDCL solver's watch
+   lists.  Each call keeps its goals in numbered slots and a watch
    table from variable id to the slots that mention it.  A binding wakes
    only that variable's watchers; a variable bound to another variable
    hands its watchers on to that variable, so a goal is always watched at

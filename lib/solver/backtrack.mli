@@ -38,6 +38,12 @@ exception Timed_out
 (** An armed [deadline_ns] passed mid-search.  Checked every few hundred
     expanded nodes, so overruns are bounded by the work between checks. *)
 
+val check_deadline : int64 option -> int -> unit
+(** [check_deadline deadline_ns nodes], called before expanding node
+    number [nodes] of a search: reads the monotonic clock when [nodes] is
+    a multiple of the check stride (0 included) and raises {!Timed_out}
+    once it is past [deadline_ns]. *)
+
 val default_node_limit : int
 
 val solve :

@@ -149,27 +149,6 @@ let try_extend ?node_limit ?deadline_ns t db ~new_clauses ~full_formula =
         "cache.full_solve";
     result
 
-(* Incremental-SAT admission check (the Section 6 backend): delegate to a
-   persistent {!Sat.Inc} session solving under the live chunks'
-   activation literals.  [None] means the body is not SAT-encodable (or
-   stopped being — the caller falls back to the search solver); a decoded
-   witness is restricted to the partition's live variables before it is
-   cached, since the session's model also values dead garbage variables. *)
-let check_sat ?conflict_limit ?deadline_ns t session db ~chunks ~live_vars =
-  match
-    Obs.Flight.time Obs.Flight.Solve (fun () ->
-        Sat.Inc.check ?conflict_limit ?deadline_ns session db ~chunks)
-  with
-  | Sat.Inc.V_unsupported _ -> None
-  | Sat.Inc.V_unsat -> Some Unsat
-  | Sat.Inc.V_sat subst ->
-    let w = Subst.restrict live_vars subst in
-    store_witness t w;
-    Some (Sat w)
-  | exception Sat.Cdcl.Conflict_budget_exceeded ->
-    Some (Exhausted "sat conflict budget exhausted")
-  | exception Sat.Cdcl.Timed_out -> Some (Exhausted "admission deadline exceeded")
-
 (* Legacy option-typed entry points (recovery, tests, ablations): callers
    without a governor see exhaustion as the raw solver exception, exactly
    as before the outcome split. *)

@@ -60,22 +60,6 @@ val solve_full :
     extension (the from-scratch ablation and the governor's degraded
     full-recompose rung); stores the witness and counts a full solve. *)
 
-val check_sat :
-  ?conflict_limit:int ->
-  ?deadline_ns:int64 ->
-  t ->
-  Sat.Inc.t ->
-  Relational.Database.t ->
-  chunks:Logic.Formula.t list ->
-  live_vars:Logic.Term.Var_set.t ->
-  outcome option
-(** Incremental-SAT admission check: solve the per-transaction [chunks]
-    in the persistent CDCL [session] under their activation literals.
-    [None] when the body is not SAT-encodable — the caller falls back to
-    the search solver.  A witness is restricted to [live_vars] and
-    cached; budget blowups surface as [Exhausted] exactly like the
-    backtracking path, so the same governor ladder applies. *)
-
 val extend_or_resolve :
   ?node_limit:int ->
   t ->

@@ -74,8 +74,9 @@ let dnf ?(max_disjuncts = default_max_disjuncts) formula =
   if List.length disjuncts > max_disjuncts then raise Formula_too_large;
   disjuncts
 
-(* Evaluate one disjunct with a fixed atom order. *)
-let solve_disjunct ?(search_depth = max_int) ?(stats = Backtrack.fresh_stats ()) db seed d =
+(* Evaluate one disjunct with a fixed atom order; [tick] runs before
+   every atom expansion and raises once a budget has run out. *)
+let solve_disjunct ?(search_depth = max_int) ~stats ~tick db seed d =
   (* Equalities first: they only strengthen the seed or fail the disjunct. *)
   let subst =
     List.fold_left
@@ -121,6 +122,7 @@ let solve_disjunct ?(search_depth = max_int) ?(stats = Backtrack.fresh_stats ())
     let rec join subst = function
       | [] -> if check_residuals subst then Some subst else None
       | atom :: rest ->
+        tick ();
         stats.Backtrack.nodes <- stats.Backtrack.nodes + 1;
         let atom = Subst.apply_atom subst atom in
         (match Database.find_table db atom.Atom.rel with
@@ -144,10 +146,21 @@ let solve_disjunct ?(search_depth = max_int) ?(stats = Backtrack.fresh_stats ())
     in
     join subst order
 
-let solve ?search_depth ?max_disjuncts ?(seed = Subst.empty) ?stats db formula =
+(* The budgets mean what they mean in {!Backtrack.solve}: [node_limit]
+   expanded atoms per call, across all disjuncts, and an absolute
+   monotonic-clock [deadline_ns]. *)
+let solve ?search_depth ?max_disjuncts ?(node_limit = Backtrack.default_node_limit) ?deadline_ns
+    ?(seed = Subst.empty) ?(stats = Backtrack.fresh_stats ()) db formula =
+  let base_nodes = stats.Backtrack.nodes in
+  let tick () =
+    let nodes = stats.Backtrack.nodes - base_nodes in
+    if nodes > node_limit then raise Backtrack.Too_many_nodes;
+    Backtrack.check_deadline deadline_ns nodes
+  in
   let formula = Formula.apply_subst seed formula in
   let disjuncts = dnf ?max_disjuncts formula in
-  List.find_map (fun d -> solve_disjunct ?search_depth ?stats db seed d) disjuncts
+  List.find_map (fun d -> solve_disjunct ?search_depth ~stats ~tick db seed d) disjuncts
 
-let satisfiable ?search_depth ?max_disjuncts ?seed ?stats db formula =
-  Option.is_some (solve ?search_depth ?max_disjuncts ?seed ?stats db formula)
+let satisfiable ?search_depth ?max_disjuncts ?node_limit ?deadline_ns ?seed ?stats db formula =
+  Option.is_some
+    (solve ?search_depth ?max_disjuncts ?node_limit ?deadline_ns ?seed ?stats db formula)

@@ -108,8 +108,7 @@ type cycle_outcome = {
    injected [Fault.Crash] propagates across the domain boundary to the
    driver and that WAL append ordering — what the recovery contract
    checks — is unaffected by which domain ran the engine. *)
-let run_cycle ?actors ?(backend = Qdb.Backtracking) ~seed () =
-  let engine_backend = backend in
+let run_cycle ?actors ~seed () =
   let rng = Prng.create seed in
   let fault_rng = Prng.create (seed lxor 0x5EED5EED) in
   let pristine = Wal.mem_backend () in
@@ -120,16 +119,7 @@ let run_cycle ?actors ?(backend = Qdb.Backtracking) ~seed () =
     { Flights.flights = 1; rows_per_flight = 2 + Prng.int rng 2; dest = "LA" }
   in
   let store = Flights.fresh_store ~backend geometry in
-  let config =
-    match engine_backend with
-    | Qdb.Sat_backend ->
-      (* Insert-safety predicates are negative atoms the SAT encoder
-         refuses, so the SAT monkey runs without them — on both sides of
-         the crash, or recovery re-admission would diverge. *)
-      { Qdb.default_config with Qdb.backend = Qdb.Sat_backend; Qdb.check_inserts = false }
-    | b -> { Qdb.default_config with Qdb.backend = b }
-  in
-  let qdb = Qdb.create ~config store in
+  let qdb = Qdb.create store in
   (* Fault schedule: arm only after the fixture is built, so the crash
      always lands inside the measured workload. *)
   let damage =
@@ -188,9 +178,8 @@ let run_cycle ?actors ?(backend = Qdb.Backtracking) ~seed () =
     | Some n -> n < handle.Fault.appends
     | None -> false
   in
-  (* The process is dead; recover from the (possibly damaged) log alone,
-     under the same config so re-admission checks compose the same body. *)
-  let qdb' = Qdb.recover ~config real in
+  (* The process is dead; recover from the (possibly damaged) log alone. *)
+  let qdb' = Qdb.recover real in
   let kept, dropped =
     match Qdb.recovery_report qdb' with
     | Some r -> (r.Wal.records_kept, r.Wal.records_dropped)
@@ -215,7 +204,7 @@ let run_cycle ?actors ?(backend = Qdb.Backtracking) ~seed () =
   in
   { crashed = !crashed; damage; flipped_mid_log; kept; dropped; violation }
 
-let run ?(cycles = 200) ?(seed = 42) ?actors ?backend () =
+let run ?(cycles = 200) ?(seed = 42) ?actors () =
   let acc =
     ref
       {
@@ -232,7 +221,7 @@ let run ?(cycles = 200) ?(seed = 42) ?actors ?backend () =
       }
   in
   for cycle = 0 to cycles - 1 do
-    let o = run_cycle ?actors ?backend ~seed:(seed + (cycle * 7919)) () in
+    let o = run_cycle ?actors ~seed:(seed + (cycle * 7919)) () in
     let s = !acc in
     acc :=
       {

@@ -29,19 +29,14 @@ val run :
   ?cycles:int ->
   ?seed:int ->
   ?actors:int ->
-  ?backend:Quantum.Qdb.solver_backend ->
   unit ->
   summary
 (** Defaults: 200 cycles, seed 42.  With [actors], every post-fixture
     engine operation round-trips through an owning actor on a real
     spawned domain ({!Actor.Runtime.call}, unclamped), proving the
     injected crash propagates across the domain boundary and the
-    recovery contract holds in actor mode too.  [backend]
-    selects the admission backend under fault injection (default
-    {!Qdb.Backtracking}); {!Qdb.Sat_backend} drives the incremental CDCL
-    session through every crash/recovery cycle, with insert-safety checks
-    off (negative atoms are not SAT-encodable) on both sides of the
-    crash. *)
+    recovery contract holds in actor mode too.  Every cycle runs the
+    default engine configuration. *)
 
 val pp : Format.formatter -> summary -> unit
 

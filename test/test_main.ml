@@ -13,8 +13,6 @@ let () =
       ("solver", Test_solver.suite);
       ("query", Test_query.suite);
       ("join-order+limit-one", Test_join_order.suite);
-      ("sat", Test_sat.suite);
-      ("sat-backend", Test_sat_backend.suite);
       ("compose", Test_compose.suite);
       ("qdb", Test_qdb.suite);
       ("possible-worlds", Test_possible_worlds.suite);

@@ -4,13 +4,15 @@ module P = Quantum.Datalog_parser
 module Rtxn = Quantum.Rtxn
 open Logic
 
+(* The paper's running example in the intermediate representation. *)
+let figure1_text =
+  "-Available(f1, s1), +Bookings(Mickey, f1, s1) :-1 Available(f1, s1), \
+   ?Bookings(Goofy, f1, s2), ?Adjacent(s1, s2)"
+
+let figure1_query = "(f, s) :- Bookings(Mickey, f, s), f <> 2"
+
 let test_figure1 () =
-  (* The paper's running example in the intermediate representation. *)
-  let txn =
-    P.parse_txn ~label:"mickey"
-      "-Available(f1, s1), +Bookings(Mickey, f1, s1) :-1 Available(f1, s1), \
-       ?Bookings(Goofy, f1, s2), ?Adjacent(s1, s2)"
-  in
+  let txn = P.parse_txn ~label:"mickey" figure1_text in
   Alcotest.(check int) "one hard atom" 1 (List.length txn.Rtxn.hard);
   Alcotest.(check int) "two optional atoms" 2 (List.length txn.Rtxn.optional);
   Alcotest.(check int) "two updates" 2 (List.length txn.Rtxn.updates);
@@ -69,7 +71,7 @@ let test_comments_and_dot () =
   Alcotest.(check int) "parsed through comments" 1 (List.length txn.Rtxn.hard)
 
 let test_query () =
-  let q = P.parse_query "(f, s) :- Bookings(Mickey, f, s), f <> 2" in
+  let q = P.parse_query figure1_query in
   Alcotest.(check int) "head arity" 2 (List.length q.Solver.Query.head);
   Alcotest.(check int) "one atom" 1 (List.length q.Solver.Query.body);
   Alcotest.(check int) "one constraint" 1 (List.length q.Solver.Query.constraints)

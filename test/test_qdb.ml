@@ -274,16 +274,30 @@ let test_backend_limit_one () =
   ignore (Qdb.ground_all qdb);
   Alcotest.(check bool) "grounded fine" true (Flights.booking_of (Qdb.db qdb) "a" <> None)
 
-let test_backend_sat () =
-  let config = { Qdb.default_config with backend = Qdb.Sat_backend; check_inserts = false } in
-  let qdb = fresh_qdb ~config ~rows:1 () in
-  let submit n = Qdb.submit qdb (Travel.plain_txn (user n "-" 0)) in
-  Alcotest.(check bool) "three commits" true
-    (committed (submit "a") && committed (submit "b") && committed (submit "c"));
-  Alcotest.(check bool) "fourth rejected" false (committed (submit "d"));
-  ignore (Qdb.ground_all qdb);
-  Alcotest.(check int) "grounded" 3
-    (Relational.Table.cardinality (Database.table (Qdb.db qdb) "Bookings"))
+(* LIMIT-1 admissions run under the governor: on an empty 30-row flight
+   the composed body's DNF grows with every pending booking, and without a
+   node budget the sixth booking already searches for tens of seconds.
+   With a small budget each such booking is [Overloaded] at once and
+   leaves the pending set and the log as they were. *)
+let test_limit_one_governed () =
+  let config = { Qdb.default_config with backend = Qdb.Limit_one_plan 3 } in
+  let store = Flights.fresh_store (geometry 30 1) in
+  let qdb = Qdb.create ~config store in
+  let governor = Quantum.Governor.make ~node_budget:1_000 () in
+  let wal_records () = (Store.wal_stats store).Wal.records in
+  let overloaded = ref 0 in
+  for i = 1 to 7 do
+    let pending = Qdb.pending_count qdb and records = wal_records () in
+    match Qdb.submit ~governor qdb (Travel.plain_txn (user (Printf.sprintf "u%d" i) "-" 0)) with
+    | Qdb.Committed _ -> ()
+    | Qdb.Rejected r -> Alcotest.failf "booking %d rejected with 90 free seats: %s" i r
+    | Qdb.Overloaded _ ->
+      incr overloaded;
+      Alcotest.(check int) (Printf.sprintf "booking %d: pending unchanged" i) pending
+        (Qdb.pending_count qdb);
+      Alcotest.(check int) (Printf.sprintf "booking %d: no WAL record" i) records (wal_records ())
+  done;
+  Alcotest.(check bool) "the budget ran out" true (!overloaded > 0)
 
 let suite =
   [ Alcotest.test_case "commit until full" `Quick test_commit_until_full;
@@ -303,5 +317,5 @@ let suite =
     Alcotest.test_case "group booking" `Quick test_group_booking;
     Alcotest.test_case "group degrades gracefully" `Quick test_group_degrades_gracefully;
     Alcotest.test_case "limit-one backend" `Quick test_backend_limit_one;
-    Alcotest.test_case "sat backend" `Quick test_backend_sat;
+    Alcotest.test_case "limit-one admissions are governed" `Quick test_limit_one_governed;
   ]

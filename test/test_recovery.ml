@@ -224,6 +224,91 @@ let test_entangled_trigger_survives_recovery () =
        (Flights.seats_adjacent (Qdb.db qdb') s1 s2)
    | _ -> Alcotest.fail "both should be booked")
 
+(* A log that lost its first record replays to the empty prefix, not to
+   the DDL that followed it: every segment's sequence starts at 0. *)
+let test_lost_head_record () =
+  let backend = Wal.mem_backend () in
+  ignore (Flights.fresh_store ~backend (geometry 2));
+  let damaged = Wal.mem_backend () in
+  List.iter damaged.Wal.append (List.tl (backend.Wal.read_all ()));
+  (match Wal.replay ~strict:true (Wal.create damaged) with
+   | exception Wal.Corrupt { index = 0; _ } -> ()
+   | _ -> Alcotest.fail "strict replay accepted a log without its head record");
+  let db, report = Wal.replay_report (Wal.create damaged) in
+  Alcotest.(check int) "nothing kept" 0 report.Wal.records_kept;
+  Alcotest.(check bool) "empty database" true (Database.equal db (Database.create ()))
+
+(* WAL replay is total on damaged logs.  Two real engine logs (one
+   before and one after a checkpoint compaction) get one damaged line —
+   dropped, torn, bit-flipped or with a byte inserted — or are cut short.
+   Lenient replay never raises and lands on the state after some prefix
+   of the complete batches; strict replay raises nothing but
+   [Wal.Corrupt]. *)
+let prop_replay_total_on_damage =
+  let backend = Wal.mem_backend () in
+  let store = Flights.fresh_store ~backend (geometry 2) in
+  let qdb = Qdb.create store in
+  let submit txn = ignore (Qdb.submit qdb txn) in
+  List.iter (fun n -> submit (Travel.plain_txn (user n "-"))) [ "a"; "b"; "c" ];
+  ignore (Qdb.ground qdb 0);
+  let before_checkpoint = backend.Wal.read_all () in
+  Store.checkpoint store;
+  submit (Travel.entangled_txn (user "d" "e"));
+  submit (Travel.entangled_txn (user "e" "d"));
+  submit (Travel.plain_txn (user "f" "-"));
+  ignore (Qdb.ground_all qdb);
+  let logs = [| before_checkpoint; backend.Wal.read_all () |] in
+  let replay ?strict lines =
+    let b = Wal.mem_backend () in
+    List.iter b.Wal.append lines;
+    Wal.replay ?strict (Wal.create b)
+  in
+  (* Replaying the first n intact lines, for every n, reaches exactly
+     the states at complete-batch boundaries. *)
+  let prefix_states =
+    Array.map
+      (fun lines ->
+        List.init (List.length lines + 1) (fun n -> replay (List.filteri (fun i _ -> i < n) lines)))
+      logs
+  in
+  let damaged =
+    let open QCheck.Gen in
+    int_bound (Array.length logs - 1) >>= fun which ->
+    let lines = logs.(which) in
+    let n = List.length lines in
+    let edit_line =
+      int_bound (n - 1) >>= fun i ->
+      let line = List.nth lines i in
+      let len = String.length line in
+      oneof
+        [ return [];
+          map (fun j -> [ String.sub line 0 j ]) (int_bound (len - 1));
+          map2
+            (fun j bit ->
+              [ String.mapi
+                  (fun k c -> if k = j then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+                  line ])
+            (int_bound (len - 1)) (int_bound 7);
+          map2
+            (fun j c -> [ String.sub line 0 j ^ String.make 1 c ^ String.sub line j (len - j) ])
+            (int_bound len) char;
+        ]
+      >|= fun replacement ->
+      List.concat (List.mapi (fun k l -> if k = i then replacement else [ l ]) lines)
+    in
+    let cut = map (fun k -> List.filteri (fun i _ -> i < k) lines) (int_bound n) in
+    frequency [ (4, edit_line); (1, cut) ] >|= fun lines -> (which, lines)
+  in
+  QCheck.Test.make ~name:"replay is total on damaged logs" ~count:500
+    (QCheck.make ~print:(fun (_, lines) -> String.concat "\n" lines) damaged)
+    (fun (which, lines) ->
+      let db = replay lines in
+      List.exists (Database.equal db) prefix_states.(which)
+      &&
+      match replay ~strict:true lines with
+      | _ -> true
+      | exception Wal.Corrupt _ -> true)
+
 let suite =
   [ Alcotest.test_case "recover pending transactions" `Quick test_recover_pending;
     Alcotest.test_case "recovery idempotent" `Quick test_recover_is_idempotent;
@@ -237,4 +322,6 @@ let suite =
     Alcotest.test_case "append after truncation" `Quick test_truncate_then_append;
     Alcotest.test_case "entangled trigger survives recovery" `Quick
       test_entangled_trigger_survives_recovery;
+    Alcotest.test_case "lost head record" `Quick test_lost_head_record;
+    QCheck_alcotest.to_alcotest prop_replay_total_on_damage;
   ]

@@ -1,6 +1,6 @@
 (* Tests for the grounding search: agreement with brute-force evaluation,
-   the LIMIT-1 compilation path, the SAT backend, soft maximization and
-   the solution cache. *)
+   the LIMIT-1 compilation path, soft maximization and the solution
+   cache. *)
 
 module Value = Relational.Value
 module Tuple = Relational.Tuple
@@ -146,15 +146,6 @@ let prop_limit_one_agrees =
       match Solver.Limit_one.satisfiable db f with
       | verdict -> verdict = Solver.Backtrack.satisfiable db f
       | exception Solver.Limit_one.Formula_too_large -> true)
-
-let prop_sat_backend_agrees =
-  QCheck.Test.make ~name:"SAT backend = backtrack (satisfiability)" ~count:500 case
-    (fun (f, (r_rows, s_rows)) ->
-      let db = make_db r_rows s_rows in
-      match Sat.Inc.check (Sat.Inc.create ()) db ~chunks:[ f ] with
-      | Sat.Inc.V_sat _ -> Solver.Backtrack.satisfiable db f
-      | Sat.Inc.V_unsat -> not (Solver.Backtrack.satisfiable db f)
-      | Sat.Inc.V_unsupported _ -> true)
 
 let test_solutions_complete () =
   let db = make_db [ (0, 1); (1, 2); (2, 3) ] [] in
@@ -540,7 +531,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_backtrack_witness_is_model;
     QCheck_alcotest.to_alcotest prop_backtrack_complete;
     QCheck_alcotest.to_alcotest prop_limit_one_agrees;
-    QCheck_alcotest.to_alcotest prop_sat_backend_agrees;
     Alcotest.test_case "solutions enumeration" `Quick test_solutions_complete;
     Alcotest.test_case "seeded solve" `Quick test_seeded_solve;
     Alcotest.test_case "soft maximization" `Quick test_soft_maximization;

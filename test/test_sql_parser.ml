@@ -3,6 +3,7 @@
 module Qdb = Quantum.Qdb
 module Rtxn = Quantum.Rtxn
 module Sql = Quantum.Sql_parser
+module Datalog = Quantum.Datalog_parser
 module Flights = Workload.Flights
 open Logic
 
@@ -123,6 +124,50 @@ let test_case_insensitive_keywords () =
   in
   Alcotest.(check int) "one delete" 1 (List.length (Rtxn.deletes txn))
 
+(* Input boundary: whatever the bytes, each parser returns or raises
+   only its own [Syntax_error] or [Rtxn.Ill_formed].  Inputs are arbitrary
+   strings and the Figure 1 texts of both surfaces under up to four
+   byte-level mutations (delete, insert, truncate, bit flip). *)
+let prop_parsers_total =
+  let open QCheck.Gen in
+  let mutation s =
+    let n = String.length s in
+    if n = 0 then map (String.make 1) char
+    else
+      int_bound (n - 1) >>= fun i ->
+      oneof
+        [ return (String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1));
+          map (fun c -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)) char;
+          return (String.sub s 0 i);
+          map
+            (fun bit ->
+              String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl bit)) else c) s)
+            (int_bound 7);
+        ]
+  in
+  let rec mutations k s = if k = 0 then return s else mutation s >>= mutations (k - 1) in
+  let seeds = [ figure1_text; Test_parser.figure1_text; Test_parser.figure1_query ] in
+  let input =
+    frequency
+      [ (1, string_size ~gen:char (0 -- 80));
+        (3, oneofl seeds >>= fun s -> int_range 1 4 >>= fun k -> mutations k s);
+      ]
+  in
+  let _, _, schema_of = fresh () in
+  QCheck.Test.make ~name:"parsers are total on mutated input" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") input)
+    (fun s ->
+      (match Sql.parse_txn ~schema_of s with
+       | _ -> ()
+       | exception (Sql.Syntax_error _ | Rtxn.Ill_formed _) -> ());
+      (match Datalog.parse_txn s with
+       | _ -> ()
+       | exception (Datalog.Syntax_error _ | Rtxn.Ill_formed _) -> ());
+      (match Datalog.parse_query s with
+       | _ -> ()
+       | exception (Datalog.Syntax_error _ | Rtxn.Ill_formed _) -> ());
+      true)
+
 let suite =
   [ Alcotest.test_case "Figure 1 structure" `Quick test_figure1_structure;
     Alcotest.test_case "Figure 1 executes" `Quick test_figure1_executes;
@@ -130,4 +175,5 @@ let suite =
     Alcotest.test_case "unqualified columns" `Quick test_unqualified_columns;
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "case-insensitive keywords" `Quick test_case_insensitive_keywords;
+    QCheck_alcotest.to_alcotest prop_parsers_total;
   ]
